@@ -348,14 +348,17 @@ def make_monic(p: KPoly) -> tuple[KPoly, GaussianRational]:
     return KPoly([c / lc for c in p.coeffs]), lc
 
 
-def integer_roots_ge2(p: KPoly, ceiling: int = 10000) -> list[int]:
+def integer_roots_ge2(p: KPoly) -> list[int]:
     """All integer roots k >= 2 of p, sorted ascending.
 
     A root of a polynomial with Gaussian coefficients must kill the real and
-    imaginary coefficient polynomials simultaneously.  After factoring out
-    powers of k and clearing denominators, an integer root divides the
-    constant term, so divisor enumeration plus exact evaluation of p itself
-    is complete on [2, ceiling].
+    imaginary coefficient polynomials simultaneously.  One nonzero part,
+    with powers of k factored out and denominators cleared, is reduced to
+    its square-free part q.  Every root of q lies in (1, B] for the bound B
+    of ``_root_bound``; Sturm counts split that interval until each piece
+    holds one root, which sign bisection of q narrows to one integer.  Each
+    integer found is checked by exact evaluation of p itself, so the list is
+    complete with no search ceiling.
     """
     if p.is_zero():
         raise ValueError("identically zero polynomial has all integers as roots")
@@ -365,11 +368,109 @@ def integer_roots_ge2(p: KPoly, ceiling: int = 10000) -> list[int]:
     while coeffs and coeffs[0].is_zero():
         coeffs.pop(0)
     lcm_den = math.lcm(*(c.den for c in coeffs))
-    a0 = abs(coeffs[0].nre) * (lcm_den // coeffs[0].den)
+    ints = [c.nre * (lcm_den // c.den) for c in coeffs]
+    if len(ints) == 1:
+        return []
+    seq = _sturm_sequence(ints)
+    if len(seq[-1]) > 1:
+        # repeated roots: the last remainder is gcd(part, part'); divide it out
+        seq = _sturm_sequence(_exact_quotient(ints, seq[-1]))
+    q = seq[0]
+
+    def variations(x: int) -> int:
+        signs = [v for v in (_int_eval(s, x) for s in seq) if v]
+        return sum(1 for a, b in zip(signs, signs[1:]) if (a < 0) != (b < 0))
+
     roots = []
-    for d in range(2, ceiling + 1):
-        if a0 % d != 0:
+    hi = _root_bound(q)
+    todo = [(1, variations(1), hi, variations(hi))]
+    while todo:
+        # q has vlo - vhi distinct roots in (lo, hi]
+        lo, vlo, hi, vhi = todo.pop()
+        count = vlo - vhi
+        if count == 0:
             continue
-        if kpoly_eval(p, GaussianRational(d)).is_zero():
-            roots.append(d)
-    return roots
+        if count > 1 and hi - lo > 1:
+            mid = (lo + hi) // 2
+            vmid = variations(mid)
+            todo += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
+            continue
+        x = hi
+        q_hi = _int_eval(q, hi)
+        if count == 1 and q_hi:
+            # one simple root r in (lo, hi): q has the sign of q(hi) exactly on [r, hi]
+            a = lo
+            while x - a > 1:
+                m = (a + x) // 2
+                if _int_eval(q, m) * q_hi >= 0:
+                    x = m
+                else:
+                    a = m
+        if _int_eval(q, x) == 0 and kpoly_eval(p, GaussianRational(x)).is_zero():
+            roots.append(x)
+    return sorted(roots)
+
+
+def _int_eval(c: list, x: int) -> int:
+    """Horner evaluation of the integer polynomial sum c[i] x^i."""
+    acc = 0
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
+
+
+def _root_bound(c: list) -> int:
+    """A power of two bounding the modulus of every complex root of c.
+
+    Fujiwara: |x| <= 2 max_i |c[n-i] / c[n]|^(1/i).  Each ratio is below
+    2^(bits(c[n-i]) - bits(c[n]) + 1), so t = 2^e with e*i at least that
+    exponent for every i gives |x| <= 2t.
+    """
+    n = len(c) - 1
+    lead_bits = abs(c[n]).bit_length()
+    e = 0
+    for i in range(1, n + 1):
+        if c[n - i]:
+            e = max(e, -(-(abs(c[n - i]).bit_length() - lead_bits + 1) // i))
+    return 2 ** (e + 1)
+
+
+def _sturm_sequence(c: list) -> list:
+    """Sturm sequence c, c', -rem, ... over the integers, each term primitive.
+
+    Remainders are taken after scaling by a positive power of the divisor's
+    leading coefficient, so every term keeps its sign; the last term is
+    gcd(c, c') up to a positive constant.
+    """
+    seq = [_primitive(c), _primitive([i * a for i, a in enumerate(c)][1:])]
+    while len(seq[-1]) > 1:
+        r, b = list(seq[-2]), seq[-1]
+        lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(r) >= len(b):
+            f, shift = sign * r[-1], len(r) - len(b)
+            r = [a * lead for a in r]
+            for i, bi in enumerate(b):
+                r[i + shift] -= f * bi
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            break
+        seq.append(_primitive([-a for a in r]))
+    return seq
+
+
+def _primitive(c: list) -> list:
+    """c divided by the positive gcd of its coefficients."""
+    g = math.gcd(*c)
+    return [a // g for a in c]
+
+
+def _exact_quotient(a: list, b: list) -> list:
+    """a / b for integer polynomials where b is primitive and divides a."""
+    a = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = a[i + len(b) - 1] // b[-1]
+        for j, bj in enumerate(b):
+            a[i + j] -= out[i] * bj
+    return out

@@ -264,16 +264,36 @@ def substitute(s: Series3, z_repl: Series3, zb_repl: Series3, u_repl: Series3) -
     return out
 
 
-def invert_real_triple(z1: Series3, u1: Series3, max_passes: int | None = None) -> tuple[Series3, Series3]:
+def _reversion_pass(F: Series3, G: Series3, Z: Series3, U: Series3) -> tuple[Series3, Series3]:
+    """One Gauss-Seidel pass of (Z, U) <- (z - F(Z, Zc, U), u - G(Z, Zc, U)).
+
+    U is updated first and the new U feeds the Z update, so that F's linear
+    term a*u sees the current degree of U.
+    """
+    n = F.n
+    Zc = hermitian_conjugate(Z)
+    U = Series3.var("u", n) - (G if G.is_zero() else substitute(G, Z, Zc, U))
+    Z = Series3.var("z", n) - (F if F.is_zero() else substitute(F, Z, Zc, U))
+    return Z, U
+
+
+def invert_real_triple(z1: Series3, u1: Series3) -> tuple[Series3, Series3]:
     """Invert the graph parametrization (z, zb, u) -> (z1, conj z1, u1).
 
     Returns (Z, U) in the image variables with Z(z1, conj z1, u1) = z and
     U(z1, conj z1, u1) = u to order N.  z1 must be z plus terms that are at
     least linear with the only admissible linear term a multiple of u (this
     is what stage maps produce through w = u + i*phi); u1 must be Hermitian
-    and equal u plus terms of degree >= 2.  Fixed-point iteration; the
-    unipotent linear block stalls the contraction by at most a bounded
-    number of passes, so the pass cap stays proportional to N.
+    and equal u plus terms of degree >= 2.
+
+    With F = z1 - z and G = u1 - u, (Z, U) is the fixed point of
+    Z = z - F(Z, conj Z, U), U = u - G(Z, conj Z, U).  It is reached by a
+    precision ramp: for d = 1, ..., N one Gauss-Seidel pass at order d,
+    started from the order-(d-1) result, updates U first and then Z with
+    the new U.  G has no linear term and F's only linear term is a multiple
+    of u, so each pass fixes degree d of both components, and the order-d
+    result is the order-d part of the inverse.  A final pass at order N
+    must give (Z, U) back unchanged; otherwise the triple is rejected.
     """
     n = z1.n
     if u1.n != n:
@@ -291,15 +311,11 @@ def invert_real_triple(z1: Series3, u1: Series3, max_passes: int | None = None) 
     if not is_hermitian(u1):
         raise ValueError("u-component of the triple must be Hermitian")
     Z, U = zv, uv
-    limit = max_passes if max_passes is not None else 3 * (n + 2)
-    for _ in range(limit):
-        Zc = hermitian_conjugate(Z)
-        Znew = zv - (F if F.is_zero() else substitute(F, Z, Zc, U))
-        Unew = uv - (G if G.is_zero() else substitute(G, Z, Zc, U))
-        if Znew == Z and Unew == U:
-            return Z, U
-        Z, U = Znew, Unew
-    raise ValueError("reversion did not converge (non-invertible triple?)")
+    for d in range(1, n + 1):
+        Z, U = _reversion_pass(F.truncate(d), G.truncate(d), Z.truncate(d), U.truncate(d))
+    if _reversion_pass(F, G, Z, U) != (Z, U):
+        raise ValueError("reversion did not converge (non-invertible triple?)")
+    return Z, U
 
 
 class HoloSeries2:
@@ -393,10 +409,6 @@ class HoloSeries2:
         return HoloSeries2(n, out)
 
     __rmul__ = __mul__
-
-    def conj_coeffs(self) -> "HoloSeries2":
-        """Series with conjugated coefficients (the paper's bar-h convention)."""
-        return HoloSeries2(self.n, {k: v.conjugate() for k, v in self.terms.items()})
 
     def eval_series3(self, z_repl: Series3, w_repl: Series3) -> Series3:
         """Evaluate at Series3 arguments (zero constant term required)."""
@@ -652,10 +664,6 @@ class UniSeries:
             if not c.is_zero():
                 out = out + px(j) * c
         return out
-
-    def eval_holo_w(self, n: int) -> HoloSeries2:
-        """Read the series as a holomorphic series in w alone."""
-        return HoloSeries2(n, {(0, j): c for j, c in enumerate(self.coeffs) if not c.is_zero()})
 
     def __repr__(self) -> str:
         return f"UniSeries(order={self.order}, {[str(c) for c in self.coeffs]})"

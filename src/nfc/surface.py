@@ -298,11 +298,9 @@ def _image_side(M: GraphSurface, m: FormalMap):
     f_here = m.f.eval_series3(zv, W)
     g_here = m.g.eval_series3(zv, W)
     z1 = zv + f_here
-    w1_minus_u = phi * I + g_here  # w1 = u + i phi + g
     re_part, im_part = split_real_imag(g_here)
     u1 = uv + re_part
     v1 = phi + im_part
-    del w1_minus_u
     return z1, u1, v1
 
 

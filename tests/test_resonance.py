@@ -155,6 +155,13 @@ class TestCharPoly:
             rep = char_poly(jet7(gen_cd(0, D, 9)))
             assert rep.resonances == []
 
+    def test_cd_resonances_beyond_any_scan_ceiling(self):
+        # D = 12(2R^2 - 4R + 3) puts the roots R and 2R - 1 on P; a divisor
+        # scan capped at 10000 used to report none of them for R = 20000
+        for R in (20000, 999999):
+            rep = char_poly(jet7(gen_cd(0, 12 * (2 * R * R - 4 * R + 3), 9)))
+            assert rep.resonances == [R, 2 * R - 1]
+
     def test_mm_family(self):
         for m in (1, 2, 3):
             rep = char_poly(jet7(gen_mm(m, 9)))

@@ -118,6 +118,13 @@ class TestMakeMonic:
         monic, lc = make_monic(p)
         assert monic == p and lc == ONE
 
+    def test_close_and_large_roots(self):
+        # 7/2 and 4 share the unit interval (3, 4]; 2^40 and 2^40 + 1 are
+        # adjacent; 3^30 is far beyond any divisor scan; (k - 9)^2 is repeated
+        p = kp(-7, 2) * kp(-4, 1) * kp(-(2**40), 1) * kp(-(2**40) - 1, 1)
+        p = p * kp(-(3**30), 1) * kp(-9, 1) * kp(-9, 1) * kp(5, 0, 1)
+        assert integer_roots_ge2(p) == [4, 9, 2**40, 2**40 + 1, 3**30]
+
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError, match="cannot normalize zero polynomial"):
             make_monic(KPoly())

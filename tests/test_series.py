@@ -145,6 +145,22 @@ class TestHermitian:
             assert is_hermitian(a * b)
 
 
+def full_order_reversion(z1, u1):
+    """Reference: Jacobi fixed-point passes at full order N until nothing moves."""
+    n = z1.n
+    zv, uv = var("z", n), var("u", n)
+    F, G = z1 - zv, u1 - uv
+    Z, U = zv, uv
+    for _ in range(3 * (n + 2)):
+        Zc = hermitian_conjugate(Z)
+        Znew = zv - (F if F.is_zero() else substitute(F, Z, Zc, U))
+        Unew = uv - (G if G.is_zero() else substitute(G, Z, Zc, U))
+        if Znew == Z and Unew == U:
+            return Z, U
+        Z, U = Znew, Unew
+    raise AssertionError("reference reversion did not converge")
+
+
 class TestInvertRealTriple:
     def test_identity(self):
         n = 5
@@ -178,6 +194,17 @@ class TestInvertRealTriple:
             invert_real_triple(var("z", n) * 2, var("u", n))
         with pytest.raises(ValueError, match="identity linear part"):
             invert_real_triple(var("z", n), var("u", n) + S(n, {(0, 0, 1): 1}))
+
+    def test_matches_full_order_iteration(self, make):
+        cases = [(var("z", 7), var("u", 7))]
+        for i in range(20):
+            n = 6 + i % 4
+            u_term = S(n, {(0, 0, 1): make.gaussian() or I})
+            z1 = var("z", n) + u_term + make.series3(n, 3, min_degree=2)
+            u1 = var("u", n) + make.hermitian_series3(n, 3, min_degree=2)
+            cases.append((z1, u1))
+        for z1, u1 in cases:
+            assert invert_real_triple(z1, u1) == full_order_reversion(z1, u1)
 
     def test_round_trip_random(self, make):
         n = 6
