@@ -25,7 +25,6 @@ from .series import (
     invert_map,
     invert_real_triple,
     is_hermitian,
-    s3_arith,
     split_real_imag,
     substitute,
     uni_compose,

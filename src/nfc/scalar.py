@@ -59,13 +59,13 @@ class GaussianRational:
     def _raw(cls, nre: int, nim: int, den: int) -> "GaussianRational":
         if den < 0:
             nre, nim, den = -nre, -nim, -den
-        g = math.gcd(math.gcd(nre, nim), den)
+        g = math.gcd(nre, nim, den)
         if g > 1:
             nre, nim, den = nre // g, nim // g, den // g
         out = object.__new__(cls)
-        object.__setattr__(out, "nre", nre)
-        object.__setattr__(out, "nim", nim)
-        object.__setattr__(out, "den", den)
+        _set_nre(out, nre)
+        _set_nim(out, nim)
+        _set_den(out, den)
         return out
 
     @property
@@ -172,6 +172,12 @@ class GaussianRational:
         sign = "+" if self.nim > 0 else "-"
         return f"({rational_str(self.re)} {sign} {rational_str(abs(self.im))}*i)"
 
+
+# the slot setters themselves: _raw is the hottest constructor, and these
+# skip the attribute lookup of object.__setattr__
+_set_nre = GaussianRational.nre.__set__
+_set_nim = GaussianRational.nim.__set__
+_set_den = GaussianRational.den.__set__
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)

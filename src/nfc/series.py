@@ -12,6 +12,13 @@ Three carriers:
 All coefficients are GaussianRational and all operations are exact: a
 product simply drops monomials beyond the truncation order, and compositions
 require vanishing constant terms so the truncated result is well defined.
+
+``Series3`` and ``HoloSeries2`` share one product kernel.  Each operand is
+put once, and cached, over the lcm D of its coefficient denominators, with
+monomials packed into single integers so that adding keys adds exponents.
+The kernel sums Gaussian-integer numerator products per output monomial and
+reduces each nonzero sum once, over Dl * Dr: one gcd per output coefficient
+instead of two per term pair.
 """
 
 from __future__ import annotations
@@ -22,10 +29,65 @@ from fractions import Fraction
 from .scalar import GaussianRational, ZERO, ONE, I, as_gaussian
 
 
+def _integer_form_of(items) -> tuple:
+    """(D, rows) for (degree, packed key, coefficient) items.
+
+    D is the lcm of the coefficient denominators and rows holds
+    (degree, packed key, re, im) with re + im*i = D * coefficient, sorted by
+    degree and then key so that a product loop can stop early.
+    """
+    items = list(items)
+    D = math.lcm(*(v.den for _, _, v in items))
+    rows = []
+    for deg, key, v in items:
+        q = D // v.den
+        rows.append((deg, key, v.nre * q, v.nim * q))
+    rows.sort()
+    return D, rows
+
+
+def _wrap(cls, n: int, terms: dict):
+    """A Series3 or HoloSeries2 around terms that are already in range,
+    nonzero and keyed by tuples, skipping the constructor's per-key checks."""
+    out = object.__new__(cls)
+    object.__setattr__(out, "n", n)
+    object.__setattr__(out, "terms", terms)
+    object.__setattr__(out, "_form", None)
+    return out
+
+
+def _mul_kernel(left: tuple, right: tuple, n: int) -> list:
+    """Product of two integer forms truncated at total degree n.
+
+    Returns (packed key, coefficient) for every nonzero output monomial.  The
+    Gaussian-integer products are summed per key, and each sum is reduced
+    once over Dl * Dr.
+    """
+    Dl, lrows = left
+    Dr, rrows = right
+    acc: dict = {}
+    get = acc.get
+    for dl, k1, r1, i1 in lrows:
+        lim = n - dl
+        for dr, k2, r2, i2 in rrows:
+            if dr > lim:
+                break
+            key = k1 + k2
+            s = get(key)
+            if s is None:
+                acc[key] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+            else:
+                s[0] += r1 * r2 - i1 * i2
+                s[1] += r1 * i2 + i1 * r2
+    raw = GaussianRational._raw
+    D = Dl * Dr
+    return [(key, raw(sr, si, D)) for key, (sr, si) in acc.items() if sr or si]
+
+
 class Series3:
     """Sparse series in (z, zb, u): finite map (a, b, c) -> nonzero coefficient."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_form")
 
     def __init__(self, n: int, terms=None):
         if n < 0:
@@ -47,9 +109,22 @@ class Series3:
                     tt[key] = val
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", tt)
+        object.__setattr__(self, "_form", None)
+
+    _make = classmethod(_wrap)
 
     def __setattr__(self, *args):
         raise AttributeError("Series3 is immutable")
+
+    def _integer_form(self) -> tuple:
+        """The kernel operand of this series, keys packed as (a*B + b)*B + c, B = n + 1."""
+        form = self._form
+        if form is None:
+            B = self.n + 1
+            form = _integer_form_of((a + b + c, (a * B + b) * B + c, v)
+                                    for (a, b, c), v in self.terms.items())
+            object.__setattr__(self, "_form", form)
+        return form
 
     @classmethod
     def zero(cls, n: int) -> "Series3":
@@ -97,40 +172,39 @@ class Series3:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return Series3(self.n, out)
+        return Series3._make(self.n, out)
 
     def __sub__(self, other) -> "Series3":
         return self + (-self._coerce(other))
 
     def __neg__(self) -> "Series3":
-        return Series3(self.n, {k: -v for k, v in self.terms.items()})
+        return Series3._make(self.n, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other) -> "Series3":
+        """Scalar multiple, or the product truncated at total degree N.
+
+        A series product runs ``_mul_kernel`` on the cached integer forms of
+        both operands: numerators over one common denominator per series and
+        monomials packed as (a*B + b)*B + c with B = N + 1.  Exponents of a
+        kept product add without carry, because a1 + a2 <= N.  Each output
+        coefficient is reduced once, and is the same reduced GaussianRational
+        that summing the term products one by one would give.
+        """
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = as_gaussian(other)
             if c.is_zero():
                 return Series3(self.n)
-            return Series3(self.n, {k: v * c for k, v in self.terms.items()})
+            return Series3._make(self.n, {k: v * c for k, v in self.terms.items()})
+        other = self._coerce(other)
         self._check_order(other)
         n = self.n
-        # iterate ordered by degree so the inner loop can stop early
-        left = sorted(((sum(k), k, v) for k, v in self.terms.items()), key=lambda t: (t[0], t[1]))
-        right = sorted(((sum(k), k, v) for k, v in other.terms.items()), key=lambda t: (t[0], t[1]))
-        out: dict = {}
-        for dl, (a1, b1, c1), v1 in left:
-            lim = n - dl
-            for dr, (a2, b2, c2), v2 in right:
-                if dr > lim:
-                    break
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                prod = v1 * v2
-                s = out.get(key)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Series3(n, out)
+        B = n + 1
+        out = {}
+        for key, v in _mul_kernel(self._integer_form(), other._integer_form(), n):
+            ab, c = divmod(key, B)
+            a, b = divmod(ab, B)
+            out[(a, b, c)] = v
+        return Series3._make(n, out)
 
     __rmul__ = __mul__
 
@@ -157,7 +231,7 @@ class Series3:
             nk = list(key)
             nk[idx] = e - 1
             out[tuple(nk)] = val * e
-        return Series3(self.n, out)
+        return Series3._make(self.n, out)
 
     def truncate(self, n: int) -> "Series3":
         if n == self.n:
@@ -179,20 +253,9 @@ class Series3:
         return f"Series3(n={self.n}, {len(self.terms)} terms)"
 
 
-def s3_arith(s: Series3, t: Series3, op: str) -> Series3:
-    """Ring arithmetic dispatch: op in {add, sub, mul}."""
-    if op == "add":
-        return s + t
-    if op == "sub":
-        return s - t
-    if op == "mul":
-        return s * t
-    raise ValueError(f"unknown op {op!r}")
-
-
 def hermitian_conjugate(s: Series3) -> Series3:
     """Swap exponents (a,b,c) -> (b,a,c) and conjugate each coefficient."""
-    return Series3(s.n, {(b, a, c): v.conjugate() for (a, b, c), v in s.terms.items()})
+    return Series3._make(s.n, {(b, a, c): v.conjugate() for (a, b, c), v in s.terms.items()})
 
 
 def is_hermitian(s: Series3) -> bool:
@@ -321,7 +384,7 @@ def invert_real_triple(z1: Series3, u1: Series3) -> tuple[Series3, Series3]:
 class HoloSeries2:
     """Sparse holomorphic series sum h_{lk} z^l w^k, truncated by l + k <= N."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_form")
 
     def __init__(self, n: int, terms=None):
         if n < 0:
@@ -343,9 +406,21 @@ class HoloSeries2:
                     tt[key] = val
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", tt)
+        object.__setattr__(self, "_form", None)
+
+    _make = classmethod(_wrap)
 
     def __setattr__(self, *args):
         raise AttributeError("HoloSeries2 is immutable")
+
+    def _integer_form(self) -> tuple:
+        """The kernel operand of this series, keys packed as l*B + k, B = n + 1."""
+        form = self._form
+        if form is None:
+            B = self.n + 1
+            form = _integer_form_of((l + k, l * B + k, v) for (l, k), v in self.terms.items())
+            object.__setattr__(self, "_form", form)
+        return form
 
     def coeff(self, l: int, k: int) -> GaussianRational:
         return self.terms.get((l, k), ZERO)
@@ -365,6 +440,8 @@ class HoloSeries2:
         return hash((self.n, tuple(self.sorted_terms())))
 
     def __add__(self, other) -> "HoloSeries2":
+        if not isinstance(other, HoloSeries2):
+            raise TypeError(f"cannot combine HoloSeries2 with {type(other).__name__}")
         if self.n != other.n:
             raise ValueError(f"mismatched truncation orders {self.n} != {other.n}")
         out = dict(self.terms)
@@ -375,38 +452,29 @@ class HoloSeries2:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return HoloSeries2(self.n, out)
+        return HoloSeries2._make(self.n, out)
 
     def __sub__(self, other) -> "HoloSeries2":
         return self + (-other)
 
     def __neg__(self) -> "HoloSeries2":
-        return HoloSeries2(self.n, {k: -v for k, v in self.terms.items()})
+        return HoloSeries2._make(self.n, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other) -> "HoloSeries2":
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = as_gaussian(other)
             if c.is_zero():
                 return HoloSeries2(self.n)
-            return HoloSeries2(self.n, {k: v * c for k, v in self.terms.items()})
+            return HoloSeries2._make(self.n, {k: v * c for k, v in self.terms.items()})
+        if not isinstance(other, HoloSeries2):
+            raise TypeError(f"cannot combine HoloSeries2 with {type(other).__name__}")
         if self.n != other.n:
             raise ValueError(f"mismatched truncation orders {self.n} != {other.n}")
-        out: dict = {}
         n = self.n
-        for (l1, k1), v1 in self.terms.items():
-            lim = n - l1 - k1
-            for (l2, k2), v2 in other.terms.items():
-                if l2 + k2 > lim:
-                    continue
-                key = (l1 + l2, k1 + k2)
-                prod = v1 * v2
-                s = out.get(key)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return HoloSeries2(n, out)
+        B = n + 1
+        out = {divmod(key, B): v
+               for key, v in _mul_kernel(self._integer_form(), other._integer_form(), n)}
+        return HoloSeries2._make(n, out)
 
     __rmul__ = __mul__
 

@@ -191,10 +191,11 @@ def check_u_linear_class(M: GraphSurface, what: str, prenormalized: bool = True)
     The surface must have no c = 0 terms, clean u-linear rows (phi_{a0} = 0),
     phi11 = 1 and, when ``prenormalized``, phi_{l1} = 0 for l >= 2.  Higher
     u-levels are free: a partially normalized surface carries harmless
-    residue there.
+    residue there.  The error names the lowest offending monomial, whatever
+    the order of phi's terms.
     """
     phi = M.phi
-    for (a, b, c) in phi.terms:
+    for (a, b, c) in sorted(phi.terms):
         if c == 0:
             raise ValueError(f"{what} requires an infinite-type surface "
                              f"(found u-free monomial {(a, b, c)})")

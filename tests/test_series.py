@@ -1,5 +1,6 @@
 """Series kernel: arithmetic, composition, conjugation, reversion, maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from nfc.series import (
     invert_map,
     invert_real_triple,
     is_hermitian,
-    s3_arith,
     split_real_imag,
     substitute,
     uni_compose,
@@ -34,11 +34,11 @@ def var(name, n):
 class TestSeries3Arith:
     def test_product_truncation(self):
         zzu = S(6, {(1, 1, 1): 1})
-        assert s3_arith(zzu, zzu, "mul") == S(6, {(2, 2, 2): 1})
+        assert zzu * zzu == S(6, {(2, 2, 2): 1})
 
     def test_additive_identity(self):
         s = S(6, {(2, 1, 1): Fraction(3, 7), (1, 2, 1): Fraction(3, 7)})
-        assert s3_arith(s, Series3.zero(6), "add") == s
+        assert s + Series3.zero(6) == s
 
     def test_truncation_drops_high_degree(self):
         s = S(6, {(1, 1, 1): 1, (2, 2, 1): 1})
@@ -60,6 +60,155 @@ class TestSeries3Arith:
             assert (a + b) * c == a * c + b * c
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
+
+
+def pairwise_product(s, t) -> dict:
+    """Reference product: one GaussianRational multiply and add per term pair.
+
+    Keys may have any length, so it serves Series3 and HoloSeries2 alike.
+    """
+    n = s.n
+    left = sorted(((sum(k), k, v) for k, v in s.terms.items()), key=lambda r: r[:2])
+    right = sorted(((sum(k), k, v) for k, v in t.terms.items()), key=lambda r: r[:2])
+    out: dict = {}
+    for dl, k1, v1 in left:
+        for dr, k2, v2 in right:
+            if dl + dr > n:
+                break
+            key = tuple(x + y for x, y in zip(k1, k2))
+            acc = out.get(key)
+            acc = v1 * v2 if acc is None else acc + v1 * v2
+            if acc.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = acc
+    return out
+
+
+#: coefficient kinds the kernel must handle: small, coprime denominators,
+#: numerators and denominators above 2**64, purely imaginary
+KERNEL_KINDS = ("small", "coprime", "large", "imaginary")
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def kernel_coefficient(rng: random.Random, kind: str) -> GaussianRational:
+    while True:
+        if kind == "small":
+            v = GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+                                 Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+        elif kind == "coprime":
+            v = GaussianRational(Fraction(rng.randint(-9, 9), rng.choice(PRIMES)),
+                                 Fraction(rng.randint(-9, 9), rng.choice(PRIMES) ** 2))
+        elif kind == "large":
+            big = 2**64 + rng.getrandbits(40)
+            v = GaussianRational(Fraction(rng.getrandbits(90) - 2**89, big),
+                                 Fraction(rng.getrandbits(70), big + rng.randint(1, 9)))
+        else:
+            v = GaussianRational(0, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        if not v.is_zero():
+            return v
+
+
+def kernel_operand(rng: random.Random, n: int, kind: str, nterms: int) -> Series3:
+    """Random Series3 with a constant term and a term at degree n."""
+    keys = {(0, 0, 0)}
+    a = rng.randint(0, n)
+    b = rng.randint(0, n - a)
+    keys.add((a, b, n - a - b))
+    while len(keys) < nterms:
+        a = rng.randint(0, n)
+        b = rng.randint(0, n - a)
+        keys.add((a, b, rng.randint(0, n - a - b)))
+    mixed = kind == "mixed"
+    return S(n, {k: kernel_coefficient(rng, rng.choice(KERNEL_KINDS) if mixed else kind)
+                 for k in keys})
+
+
+class TestProductKernel:
+    def test_matches_pairwise_product(self):
+        rng = random.Random(4096)
+        kinds = KERNEL_KINDS + ("mixed",)
+        for i in range(35):
+            n = 4 + i % 7
+            kind = kinds[i % len(kinds)]
+            s = kernel_operand(rng, n, kind, rng.randint(3, 9))
+            t = kernel_operand(rng, n, kinds[(i + 2) % len(kinds)], rng.randint(3, 9))
+            prod = s * t
+            assert prod.terms == pairwise_product(s, t)
+            assert t * s == prod
+            assert any(sum(k) == n for k in prod.terms)   # kept right at the cutoff
+
+    def test_exact_cancellation_drops_the_key(self):
+        rng = random.Random(77)
+        for i in range(12):
+            n = 4 + i % 7
+            kind = KERNEL_KINDS[i % len(KERNEL_KINDS)]
+            A = S(n, {(1, 0, 1): kernel_coefficient(rng, kind)})
+            B = S(n, {(0, 1, 1): kernel_coefficient(rng, kind)})
+            prod = (A + B) * (A - B)      # the cross terms AB - BA cancel
+            assert (1, 1, 2) not in prod.terms
+            assert prod.terms == pairwise_product(A + B, A - B)
+            assert prod == A * A - B * B
+
+    def test_truncation_boundary(self):
+        n = 5
+        s = S(n, {(0, 0, 0): 2, (2, 1, 2): Fraction(1, 3), (1, 0, 0): I})
+        t = S(n, {(0, 0, 0): Fraction(1, 2), (0, 0, 1): 1, (5, 0, 0): -I})
+        prod = s * t
+        assert prod.terms == pairwise_product(s, t)
+        # degree-5 products are kept; (2,1,3), (7,1,2) and (6,0,0) exceed N = 5
+        assert prod == S(n, {(0, 0, 0): 1, (0, 0, 1): 2, (5, 0, 0): -2 * I,
+                             (2, 1, 2): Fraction(1, 6), (1, 0, 0): I / 2, (1, 0, 1): I})
+
+    def test_zero_operand(self):
+        rng = random.Random(5)
+        for n in (4, 7, 10):
+            s = kernel_operand(rng, n, "mixed", 6)
+            assert (s * Series3.zero(n)).is_zero()
+            assert (Series3.zero(n) * s).is_zero()
+            assert (Series3.zero(n) * Series3.zero(n)).is_zero()
+
+    def test_cached_form_keeps_equality_hash_and_immutability(self):
+        rng = random.Random(11)
+        for n in (4, 10):
+            s = kernel_operand(rng, n, "mixed", 8)
+            twin = S(n, dict(s.terms))
+            before = hash(s)
+            first = s * s
+            assert s._form is not None          # the integer form is now cached
+            assert s == twin and twin == s and hash(s) == hash(twin) == before
+            assert s * s == first and s * twin == first
+            with pytest.raises(AttributeError, match="immutable"):
+                s.terms = {}
+            with pytest.raises(AttributeError, match="immutable"):
+                s._form = None
+
+    def test_holo_matches_pairwise_product(self):
+        rng = random.Random(2718)
+        for i in range(30):
+            n = 4 + i % 7
+            kind = KERNEL_KINDS[i % len(KERNEL_KINDS)]
+            terms = []
+            for _ in range(2):
+                keys = {(0, 0), (rng.randint(0, n), 0)}
+                while len(keys) < rng.randint(3, 8):
+                    l = rng.randint(0, n)
+                    keys.add((l, rng.randint(0, n - l)))
+                keys = {(l, min(k, n - l)) for l, k in keys}
+                terms.append(HoloSeries2(n, {k: kernel_coefficient(rng, kind) for k in keys}))
+            h, g = terms
+            assert (h * g).terms == pairwise_product(h, g)
+            assert (h * HoloSeries2(n)).is_zero()
+        h = HoloSeries2(5, {(1, 1): I, (0, 2): 1})
+        g = HoloSeries2(5, {(1, 1): I, (0, 2): -1})
+        assert (h * g).terms == {(2, 2): -ONE, (0, 4): -ONE}  # the cross terms cancel
+        twin = HoloSeries2(5, dict(h.terms))
+        before = hash(h)
+        first = h * h
+        assert h._form is not None
+        assert h == twin and hash(h) == hash(twin) == before and h * h == first
+        with pytest.raises(AttributeError, match="immutable"):
+            h._form = None
 
 
 class TestSubstitute:

@@ -9,6 +9,7 @@ from nfc.series import FormalMap, HoloSeries2, Series3, hermitian_conjugate, is_
 from nfc.surface import (
     GraphSurface,
     check_normal_form,
+    check_u_linear_class,
     coefficient,
     infinitesimal_defect,
     jet7,
@@ -122,6 +123,18 @@ class TestJet7:
     def test_needs_enough_order(self):
         with pytest.raises(ValueError, match="N >= 8"):
             jet7(gen_quadric(7))
+
+
+class TestCheckULinearClass:
+    def test_names_lowest_offending_monomial(self):
+        # terms are inserted highest first; the message must not follow dict order
+        u_free = surf(9, {(1, 1, 1): 1, (3, 1, 0): 1, (2, 2, 0): 1, (1, 3, 0): 1})
+        with pytest.raises(ValueError, match=r"u-free monomial \(1, 3, 0\)"):
+            check_u_linear_class(u_free, "test")
+        mixed = surf(9, {(1, 1, 1): 1, (3, 0, 1): 1, (2, 2, 0): 1, (0, 3, 1): 1,
+                         (2, 0, 1): I, (0, 2, 1): -I})
+        with pytest.raises(ValueError, match=r"u-linear level \(found \(0, 2, 1\)\)"):
+            check_u_linear_class(mixed, "test")
 
 
 class TestNabForm:
