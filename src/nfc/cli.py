@@ -28,7 +28,6 @@ from .scalar import (
 from .series import FormalMap, HoloSeries2, Series3
 from .surface import (
     GraphSurface,
-    check_normal_form,
     infinitesimal_defect,
     jet7,
     map_defect,
@@ -223,6 +222,35 @@ def parse_expression(text: str) -> dict:
 # surface / map / field spec resolution
 
 
+def _literal(val, what: str, integer: bool = False):
+    """The exact value of one spec literal: an int, or a Fraction from "p/q"."""
+    try:
+        return int(str(val)) if integer else parse_rational(str(val))
+    except ValueError:
+        kind = "an integer" if integer else "a rational"
+        raise ParseError(f"{what} must be {kind} literal, got {val!r}") from None
+
+
+def _coefficient(item: dict) -> GaussianRational:
+    """The coefficient re + i*im of a series item; absent parts are 0."""
+    return GaussianRational(_literal(item.get("re", "0"), "re"),
+                            _literal(item.get("im", "0"), "im"))
+
+
+def _holo_side(items, order: int, what: str) -> HoloSeries2:
+    """A HoloSeries2 from the {l, k, re, im} items of a map or field spec."""
+    terms = {}
+    try:
+        for item in items:
+            key = tuple(_literal(item[e], e, integer=True) for e in "lk")
+            val = _coefficient(item)
+            if not val.is_zero():
+                terms[key] = val
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad {what} spec: {exc}") from exc
+    return HoloSeries2(order, terms)
+
+
 def _hermitian_check(terms: dict):
     for (a, b, c), v in terms.items():
         if terms.get((b, a, c), ZERO) != v.conjugate():
@@ -251,7 +279,7 @@ def parse_surface_spec(obj, default_order: int = DEFAULT_ORDER) -> dict:
     """Normalize a raw spec object (from JSON or flags) to {order, family|series|expr}."""
     if not isinstance(obj, dict):
         raise ParseError("surface spec must be a JSON object")
-    order = int(obj.get("order", default_order))
+    order = _literal(obj.get("order", default_order), "order", integer=True)
     kinds = [k for k in ("family", "series", "expr") if k in obj]
     if len(kinds) != 1:
         raise ParseError("surface spec needs exactly one of: family, series, expr")
@@ -265,17 +293,16 @@ def parse_surface_spec(obj, default_order: int = DEFAULT_ORDER) -> dict:
         for key, val in fam.items():
             if key == "name":
                 continue
-            params[key] = int(val) if key == "m" else parse_rational(str(val))
+            params[key] = _literal(val, key, integer=key == "m")
         return {"order": order, "family": {"name": name, **params}}
     if kind == "series":
         terms = {}
         for item in obj["series"]:
             try:
-                key = (int(item["a"]), int(item["b"]), int(item["c"]))
-            except (KeyError, TypeError, ValueError) as exc:
+                key = tuple(_literal(item[e], e, integer=True) for e in "abc")
+                val = _coefficient(item)
+            except (KeyError, TypeError) as exc:
                 raise ParseError(f"bad series item {item!r}") from exc
-            val = GaussianRational(parse_rational(str(item.get("re", "0"))),
-                                   parse_rational(str(item.get("im", "0"))))
             if not val.is_zero():
                 terms[key] = val
         _hermitian_check(terms)
@@ -304,22 +331,11 @@ def parse_map_spec(obj, order: int) -> FormalMap:
     if "builtin" in obj:
         if obj["builtin"] != "ht":
             raise ParseError(f"unknown builtin map {obj['builtin']!r}")
-        m = int(obj.get("m", 1))
-        t = parse_rational(str(obj.get("t", "1")))
+        m = _literal(obj.get("m", 1), "m", integer=True)
+        t = _literal(obj.get("t", "1"), "t")
         return gen_Ht(m, t, order)
-    def side(items):
-        terms = {}
-        for item in items:
-            key = (int(item["l"]), int(item["k"]))
-            val = GaussianRational(parse_rational(str(item.get("re", "0"))),
-                                   parse_rational(str(item.get("im", "0"))))
-            if not val.is_zero():
-                terms[key] = val
-        return HoloSeries2(order, terms)
-    try:
-        return FormalMap(side(obj.get("f", [])), side(obj.get("g", [])))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad map spec: {exc}") from exc
+    return FormalMap(_holo_side(obj.get("f", []), order, "map"),
+                     _holo_side(obj.get("g", []), order, "map"))
 
 
 def parse_field_spec(obj, order: int):
@@ -328,22 +344,11 @@ def parse_field_spec(obj, order: int):
     if "builtin" in obj:
         if obj["builtin"] != "mmt":
             raise ParseError(f"unknown builtin field {obj['builtin']!r}")
-        m = int(obj.get("m", 1))
-        T = parse_rational(str(obj.get("T", "1")))
+        m = _literal(obj.get("m", 1), "m", integer=True)
+        T = _literal(obj.get("T", "1"), "T")
         return gen_X(m, T, order)
-    def side(items):
-        terms = {}
-        for item in items:
-            key = (int(item["l"]), int(item["k"]))
-            val = GaussianRational(parse_rational(str(item.get("re", "0"))),
-                                   parse_rational(str(item.get("im", "0"))))
-            if not val.is_zero():
-                terms[key] = val
-        return HoloSeries2(order, terms)
-    try:
-        return side(obj.get("Xz", [])), side(obj.get("Xw", []))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad field spec: {exc}") from exc
+    return (_holo_side(obj.get("Xz", []), order, "field"),
+            _holo_side(obj.get("Xw", []), order, "field"))
 
 
 # ---------------------------------------------------------------------------

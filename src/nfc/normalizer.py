@@ -22,19 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar import GaussianRational, ZERO, ONE, I, as_gaussian
-from .series import FormalMap, HoloSeries2, Series3, compose_maps, hermitian_conjugate
+from .scalar import GaussianRational, ONE, I
+from .series import FormalMap, HoloSeries2, Series3, compose_maps
 from .resonance import char_poly
-from .surface import (
-    GraphSurface,
-    Jet7,
-    check_u_linear_class,
-    coefficient,
-    is_prenormalized_level1,
-    jet7,
-    scale_surface,
-    transform,
-)
+from .surface import GraphSurface, check_u_linear_class, jet7, scale_surface, transform
 
 TAGGED_UNKNOWNS = (
     ("g", 1, "re"), ("g", 1, "im"),

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import GaussianRational, KPoly, ZERO, ONE, integer_roots_ge2, make_monic
+from .scalar import GaussianRational, KPoly, ONE, integer_roots_ge2, make_monic
 from .surface import Jet7
 
 

@@ -1,24 +1,30 @@
 """Sparse truncated formal power series.
 
-Three carriers:
+One sparse core, ``_SparseSeries``, holds a finite map from exponent tuples
+to nonzero coefficients, truncated at total degree N.  It carries the
+checked constructor, immutability, equality, sums and the product kernel;
+a subclass names its variables in ``VARS`` and decodes packed keys:
 
-* ``Series3`` -- series in (z, zb, u), graded by total degree with a single
-  cutoff N; used for graphing functions and everything derived from them.
+* ``Series3`` -- series in (z, zb, u); used for graphing functions and
+  everything derived from them.
 * ``HoloSeries2`` -- holomorphic series in (z, w); used for map components
   and vector fields.
-* ``UniSeries`` -- dense univariate series; used for the transcendental
-  generator math (arcsin, tan, exp, rational powers, the q_T ODE).
+
+``substitute`` composes a series of either kind with replacements of either
+kind.  ``UniSeries`` is apart: a dense univariate series used for the
+transcendental generator math (arcsin, tan, exp, rational powers, the q_T
+ODE).
 
 All coefficients are GaussianRational and all operations are exact: a
 product simply drops monomials beyond the truncation order, and compositions
 require vanishing constant terms so the truncated result is well defined.
 
-``Series3`` and ``HoloSeries2`` share one product kernel.  Each operand is
-put once, and cached, over the lcm D of its coefficient denominators, with
-monomials packed into single integers so that adding keys adds exponents.
-The kernel sums Gaussian-integer numerator products per output monomial and
-reduces each nonzero sum once, over Dl * Dr: one gcd per output coefficient
-instead of two per term pair.
+Products run one kernel.  Each operand is put once, and cached, over the
+lcm D of its coefficient denominators, with monomials packed into single
+integers (base N + 1) so that adding keys adds exponents.  The kernel sums
+Gaussian-integer numerator products per output monomial and reduces each
+nonzero sum once, over Dl * Dr: one gcd per output coefficient instead of
+two per term pair.
 """
 
 from __future__ import annotations
@@ -28,32 +34,7 @@ from fractions import Fraction
 
 from .scalar import GaussianRational, ZERO, ONE, I, as_gaussian
 
-
-def _integer_form_of(items) -> tuple:
-    """(D, rows) for (degree, packed key, coefficient) items.
-
-    D is the lcm of the coefficient denominators and rows holds
-    (degree, packed key, re, im) with re + im*i = D * coefficient, sorted by
-    degree and then key so that a product loop can stop early.
-    """
-    items = list(items)
-    D = math.lcm(*(v.den for _, _, v in items))
-    rows = []
-    for deg, key, v in items:
-        q = D // v.den
-        rows.append((deg, key, v.nre * q, v.nim * q))
-    rows.sort()
-    return D, rows
-
-
-def _wrap(cls, n: int, terms: dict):
-    """A Series3 or HoloSeries2 around terms that are already in range,
-    nonzero and keyed by tuples, skipping the constructor's per-key checks."""
-    out = object.__new__(cls)
-    object.__setattr__(out, "n", n)
-    object.__setattr__(out, "terms", terms)
-    object.__setattr__(out, "_form", None)
-    return out
+_SCALARS = (int, Fraction, GaussianRational)
 
 
 def _mul_kernel(left: tuple, right: tuple, n: int) -> list:
@@ -84,21 +65,26 @@ def _mul_kernel(left: tuple, right: tuple, n: int) -> list:
     return [(key, raw(sr, si, D)) for key, (sr, si) in acc.items() if sr or si]
 
 
-class Series3:
-    """Sparse series in (z, zb, u): finite map (a, b, c) -> nonzero coefficient."""
+class _SparseSeries:
+    """Sparse series in the variables ``VARS``: exponent tuple -> nonzero coefficient."""
 
     __slots__ = ("n", "terms", "_form")
+
+    #: variable names, one per exponent of a key
+    VARS: tuple = ()
 
     def __init__(self, n: int, terms=None):
         if n < 0:
             raise ValueError("truncation order must be non-negative")
+        arity = len(self.VARS)
         tt = {}
         if terms:
             for key, val in (terms.items() if isinstance(terms, dict) else terms):
-                a, b, c = key
-                if a < 0 or b < 0 or c < 0:
+                if len(key) != arity:
+                    raise ValueError(f"{type(self).__name__} key {key} needs {arity} exponents")
+                if min(key) < 0:
                     raise ValueError(f"negative exponent in {key}")
-                if a + b + c > n:
+                if sum(key) > n:
                     continue
                 val = as_gaussian(val)
                 if key in tt:
@@ -111,32 +97,61 @@ class Series3:
         object.__setattr__(self, "terms", tt)
         object.__setattr__(self, "_form", None)
 
-    _make = classmethod(_wrap)
+    @classmethod
+    def _make(cls, n: int, terms: dict):
+        """A series around terms that are already in range, nonzero and keyed
+        by tuples, skipping the constructor's per-key checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "_form", None)
+        return out
 
     def __setattr__(self, *args):
-        raise AttributeError("Series3 is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _integer_form(self) -> tuple:
-        """The kernel operand of this series, keys packed as (a*B + b)*B + c, B = n + 1."""
+        """The kernel operand (D, rows), cached on first use.
+
+        D is the lcm of the coefficient denominators and rows holds
+        (degree, packed key, re, im) with re + im*i = D * coefficient, sorted
+        by degree and then key so that a product loop can stop early.  A key
+        (e1, ..., em) is packed in base B = n + 1 as (...(e1*B + e2)*B ...)*B + em.
+        """
         form = self._form
         if form is None:
             B = self.n + 1
-            form = _integer_form_of((a + b + c, (a * B + b) * B + c, v)
-                                    for (a, b, c), v in self.terms.items())
+            terms = self.terms
+            D = math.lcm(*(v.den for v in terms.values()))
+            rows = []
+            for key, v in terms.items():
+                packed = 0
+                for e in key:
+                    packed = packed * B + e
+                q = D // v.den
+                rows.append((sum(key), packed, v.nre * q, v.nim * q))
+            rows.sort()
+            form = (D, rows)
             object.__setattr__(self, "_form", form)
         return form
 
+    @staticmethod
+    def _unpack(pairs, B: int) -> dict:
+        """Terms keyed by exponent tuples from kernel output keyed in base B."""
+        raise NotImplementedError
+
     @classmethod
-    def zero(cls, n: int) -> "Series3":
+    def zero(cls, n: int):
         return cls(n)
 
     @classmethod
-    def var(cls, which: str, n: int) -> "Series3":
-        key = {"z": (1, 0, 0), "zb": (0, 1, 0), "u": (0, 0, 1)}[which]
-        return cls(n, {key: ONE})
+    def var(cls, which: str, n: int):
+        if which not in cls.VARS:
+            raise ValueError(f"{cls.__name__} has no variable {which!r}")
+        return cls(n, {tuple(int(v == which) for v in cls.VARS): ONE})
 
-    def coeff(self, a: int, b: int, c: int) -> GaussianRational:
-        return self.terms.get((a, b, c), ZERO)
+    def coeff(self, *key) -> GaussianRational:
+        return self.terms.get(key, ZERO)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,23 +160,23 @@ class Series3:
         """Lowest total degree with a nonzero term; n + 1 when zero."""
         if not self.terms:
             return self.n + 1
-        return min(a + b + c for (a, b, c) in self.terms)
+        return min(map(sum, self.terms))
 
     def has_constant_term(self) -> bool:
-        return (0, 0, 0) in self.terms
+        return (0,) * len(self.VARS) in self.terms
 
     def sorted_terms(self):
         return sorted(self.terms.items())
 
     def __eq__(self, other):
-        if not isinstance(other, Series3):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n, tuple(self.sorted_terms())))
 
-    def __add__(self, other) -> "Series3":
+    def __add__(self, other):
         other = self._coerce(other)
         self._check_order(other)
         out = dict(self.terms)
@@ -172,57 +187,74 @@ class Series3:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return Series3._make(self.n, out)
+        return self._make(self.n, out)
 
-    def __sub__(self, other) -> "Series3":
+    def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __neg__(self) -> "Series3":
-        return Series3._make(self.n, {k: -v for k, v in self.terms.items()})
+    def __neg__(self):
+        return self._make(self.n, {k: -v for k, v in self.terms.items()})
 
-    def __mul__(self, other) -> "Series3":
+    def __mul__(self, other):
         """Scalar multiple, or the product truncated at total degree N.
 
         A series product runs ``_mul_kernel`` on the cached integer forms of
         both operands: numerators over one common denominator per series and
-        monomials packed as (a*B + b)*B + c with B = N + 1.  Exponents of a
-        kept product add without carry, because a1 + a2 <= N.  Each output
-        coefficient is reduced once, and is the same reduced GaussianRational
-        that summing the term products one by one would give.
+        monomials packed in base B = N + 1.  Exponents of a kept product add
+        without carry, because each is at most N.  Each output coefficient is
+        reduced once, and is the same reduced GaussianRational that summing
+        the term products one by one would give.
         """
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             c = as_gaussian(other)
             if c.is_zero():
-                return Series3(self.n)
-            return Series3._make(self.n, {k: v * c for k, v in self.terms.items()})
+                return type(self)(self.n)
+            return self._make(self.n, {k: v * c for k, v in self.terms.items()})
         other = self._coerce(other)
         self._check_order(other)
         n = self.n
-        B = n + 1
-        out = {}
-        for key, v in _mul_kernel(self._integer_form(), other._integer_form(), n):
-            ab, c = divmod(key, B)
-            a, b = divmod(ab, B)
-            out[(a, b, c)] = v
-        return Series3._make(n, out)
+        pairs = _mul_kernel(self._integer_form(), other._integer_form(), n)
+        return self._make(n, self._unpack(pairs, n + 1))
 
     __rmul__ = __mul__
 
-    def _coerce(self, other) -> "Series3":
-        if isinstance(other, Series3):
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
             return other
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             c = as_gaussian(other)
-            return Series3(self.n, {(0, 0, 0): c} if not c.is_zero() else {})
-        raise TypeError(f"cannot combine Series3 with {type(other).__name__}")
+            return self._make(self.n, {(0,) * len(self.VARS): c} if not c.is_zero() else {})
+        raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
 
-    def _check_order(self, other: "Series3"):
+    def _check_order(self, other):
         if self.n != other.n:
             raise ValueError(f"mismatched truncation orders {self.n} != {other.n}")
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, {len(self.terms)} terms)"
+
+
+class Series3(_SparseSeries):
+    """Sparse series in (z, zb, u): finite map (a, b, c) -> nonzero coefficient."""
+
+    __slots__ = ()
+    VARS = ("z", "zb", "u")
+
+    @staticmethod
+    def _unpack(pairs, B: int) -> dict:
+        out = {}
+        for key, v in pairs:
+            ab, c = divmod(key, B)
+            a, b = divmod(ab, B)
+            out[(a, b, c)] = v
+        return out
+
+    # In the class dict so that tracers can wrap the product of this class alone.
+    __mul__ = __rmul__ = _SparseSeries.__mul__
+
     def diff(self, which: str) -> "Series3":
         """Formal partial derivative; the cutoff N is kept unchanged."""
-        idx = {"z": 0, "zb": 1, "u": 2}[which]
+        idx = self.VARS.index(which)
         out = {}
         for key, val in self.terms.items():
             e = key[idx]
@@ -244,13 +276,21 @@ class Series3:
         bits = []
         for (a, b, c), v in self.sorted_terms():
             factors = [name + (f"^{e}" if e > 1 else "")
-                       for name, e in (("z", a), ("zb", b), ("u", c)) if e]
+                       for name, e in zip(self.VARS, (a, b, c)) if e]
             mono = "*".join(factors)
             bits.append(f"({v})*{mono}" if mono else f"({v})")
         return " + ".join(bits)
 
-    def __repr__(self) -> str:
-        return f"Series3(n={self.n}, {len(self.terms)} terms)"
+
+class HoloSeries2(_SparseSeries):
+    """Sparse holomorphic series sum h_{lk} z^l w^k, truncated by l + k <= N."""
+
+    __slots__ = ()
+    VARS = ("z", "w")
+
+    @staticmethod
+    def _unpack(pairs, B: int) -> dict:
+        return {divmod(key, B): v for key, v in pairs}
 
 
 def hermitian_conjugate(s: Series3) -> Series3:
@@ -272,7 +312,7 @@ def split_real_imag(s: Series3) -> tuple[Series3, Series3]:
 
 
 class _PowCache:
-    """Lazily extended powers of a fixed series (Series3 or dense list)."""
+    """Lazily extended powers of a fixed series (sparse or ``UniSeries``)."""
 
     __slots__ = ("base", "pows")
 
@@ -288,42 +328,51 @@ class _PowCache:
         return self.pows[e]
 
 
-def substitute(s: Series3, z_repl: Series3, zb_repl: Series3, u_repl: Series3) -> Series3:
-    """Exact composition s(z_repl, zb_repl, u_repl) truncated at N.
+def substitute(s: _SparseSeries, *repls: _SparseSeries) -> _SparseSeries:
+    """Exact composition s(*repls) truncated at N, of the replacements' type.
 
-    Replacements must have vanishing constant term so that only finitely
-    many terms of s contribute at each degree.
+    s is a Series3 or HoloSeries2, and takes one replacement per variable;
+    the replacements share one type, which may differ from s's.  They must
+    have vanishing constant term so that only finitely many terms of s
+    contribute at each degree.  Terms are grouped by every exponent but the
+    last: the polynomial in the last replacement is assembled by cheap
+    scalar multiples and adds, and then multiplied by the powers of the
+    others.
     """
     n = s.n
-    for r in (z_repl, zb_repl, u_repl):
+    if len(repls) != len(s.VARS):
+        raise ValueError(f"{type(s).__name__} takes {len(s.VARS)} replacements, "
+                         f"got {len(repls)}")
+    kind = type(repls[0])
+    if not issubclass(kind, _SparseSeries) or any(type(r) is not kind for r in repls):
+        raise TypeError("replacements must be sparse series of one type")
+    for r in repls:
         if r.n != n:
             raise ValueError(f"mismatched truncation orders {r.n} != {n}")
         if r.has_constant_term():
             raise ValueError("composition requires vanishing constant term")
-    pz, pzb, pu = _PowCache(z_repl), _PowCache(zb_repl), _PowCache(u_repl)
-    # group by (a, b): the u-side polynomial is assembled by cheap adds
-    by_ab: dict = {}
-    for (a, b, c), v in s.terms.items():
-        by_ab.setdefault((a, b), []).append((c, v))
-    out = Series3(n)
-    for (a, b) in sorted(by_ab):
-        upoly = Series3(n)
+    *heads, plast = [_PowCache(r) for r in repls]
+    groups: dict = {}
+    for key, v in s.terms.items():
+        groups.setdefault(key[:-1], []).append((key[-1], v))
+    one = (0,) * len(kind.VARS)
+    out = kind(n)
+    for prefix in sorted(groups):
+        poly = kind(n)
         cst = ZERO
-        for c, v in by_ab[(a, b)]:
-            if c == 0:
+        for e, v in groups[prefix]:
+            if e == 0:
                 cst = cst + v
             else:
-                upoly = upoly + pu(c) * v
+                poly = poly + plast(e) * v
         if not cst.is_zero():
-            upoly = upoly + Series3(n, {(0, 0, 0): cst})
-        if upoly.is_zero():
+            poly = poly + kind(n, {one: cst})
+        if poly.is_zero():
             continue
-        piece = upoly
-        if a:
-            piece = pz(a) * piece
-        if b:
-            piece = pzb(b) * piece
-        out = out + piece
+        for pw, e in zip(heads, prefix):
+            if e:
+                poly = pw(e) * poly
+        out = out + poly
     return out
 
 
@@ -381,154 +430,6 @@ def invert_real_triple(z1: Series3, u1: Series3) -> tuple[Series3, Series3]:
     return Z, U
 
 
-class HoloSeries2:
-    """Sparse holomorphic series sum h_{lk} z^l w^k, truncated by l + k <= N."""
-
-    __slots__ = ("n", "terms", "_form")
-
-    def __init__(self, n: int, terms=None):
-        if n < 0:
-            raise ValueError("truncation order must be non-negative")
-        tt = {}
-        if terms:
-            for key, val in (terms.items() if isinstance(terms, dict) else terms):
-                l, k = key
-                if l < 0 or k < 0:
-                    raise ValueError(f"negative exponent in {key}")
-                if l + k > n:
-                    continue
-                val = as_gaussian(val)
-                if key in tt:
-                    val = tt[key] + val
-                if val.is_zero():
-                    tt.pop(key, None)
-                else:
-                    tt[key] = val
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", tt)
-        object.__setattr__(self, "_form", None)
-
-    _make = classmethod(_wrap)
-
-    def __setattr__(self, *args):
-        raise AttributeError("HoloSeries2 is immutable")
-
-    def _integer_form(self) -> tuple:
-        """The kernel operand of this series, keys packed as l*B + k, B = n + 1."""
-        form = self._form
-        if form is None:
-            B = self.n + 1
-            form = _integer_form_of((l + k, l * B + k, v) for (l, k), v in self.terms.items())
-            object.__setattr__(self, "_form", form)
-        return form
-
-    def coeff(self, l: int, k: int) -> GaussianRational:
-        return self.terms.get((l, k), ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, HoloSeries2):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.sorted_terms())))
-
-    def __add__(self, other) -> "HoloSeries2":
-        if not isinstance(other, HoloSeries2):
-            raise TypeError(f"cannot combine HoloSeries2 with {type(other).__name__}")
-        if self.n != other.n:
-            raise ValueError(f"mismatched truncation orders {self.n} != {other.n}")
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            s = out.get(key)
-            s = val if s is None else s + val
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return HoloSeries2._make(self.n, out)
-
-    def __sub__(self, other) -> "HoloSeries2":
-        return self + (-other)
-
-    def __neg__(self) -> "HoloSeries2":
-        return HoloSeries2._make(self.n, {k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other) -> "HoloSeries2":
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = as_gaussian(other)
-            if c.is_zero():
-                return HoloSeries2(self.n)
-            return HoloSeries2._make(self.n, {k: v * c for k, v in self.terms.items()})
-        if not isinstance(other, HoloSeries2):
-            raise TypeError(f"cannot combine HoloSeries2 with {type(other).__name__}")
-        if self.n != other.n:
-            raise ValueError(f"mismatched truncation orders {self.n} != {other.n}")
-        n = self.n
-        B = n + 1
-        out = {divmod(key, B): v
-               for key, v in _mul_kernel(self._integer_form(), other._integer_form(), n)}
-        return HoloSeries2._make(n, out)
-
-    __rmul__ = __mul__
-
-    def eval_series3(self, z_repl: Series3, w_repl: Series3) -> Series3:
-        """Evaluate at Series3 arguments (zero constant term required)."""
-        n = z_repl.n
-        if w_repl.n != n:
-            raise ValueError(f"mismatched truncation orders {w_repl.n} != {n}")
-        if z_repl.has_constant_term() or w_repl.has_constant_term():
-            raise ValueError("composition requires vanishing constant term")
-        pz, pw = _PowCache(z_repl), _PowCache(w_repl)
-        by_l: dict = {}
-        for (l, k), v in self.terms.items():
-            by_l.setdefault(l, []).append((k, v))
-        out = Series3(n)
-        for l in sorted(by_l):
-            wpoly = Series3(n)
-            cst = ZERO
-            for k, v in by_l[l]:
-                if k == 0:
-                    cst = cst + v
-                else:
-                    wpoly = wpoly + pw(k) * v
-            if not cst.is_zero():
-                wpoly = wpoly + Series3(n, {(0, 0, 0): cst})
-            if wpoly.is_zero():
-                continue
-            out = out + (pz(l) * wpoly if l else wpoly)
-        return out
-
-    def compose2(self, z_repl: "HoloSeries2", w_repl: "HoloSeries2") -> "HoloSeries2":
-        """Holomorphic composition h(z_repl, w_repl), zero constant terms required."""
-        n = self.n
-        if z_repl.n != n or w_repl.n != n:
-            raise ValueError("mismatched truncation orders")
-        if (0, 0) in z_repl.terms or (0, 0) in w_repl.terms:
-            raise ValueError("composition requires vanishing constant term")
-        pz, pw = _PowCache(z_repl), _PowCache(w_repl)
-        out = HoloSeries2(n)
-        for (l, k), v in sorted(self.terms.items()):
-            piece = None
-            if l:
-                piece = pz(l)
-            if k:
-                piece = pw(k) if piece is None else piece * pw(k)
-            if piece is None:
-                piece = HoloSeries2(n, {(0, 0): ONE})
-            out = out + piece * v
-        return out
-
-    def __repr__(self) -> str:
-        return f"HoloSeries2(n={self.n}, {len(self.terms)} terms)"
-
-
 class FormalMap:
     """The map (z, w) -> (z + f(z,w), w + g(z,w)).
 
@@ -578,13 +479,11 @@ def compose_maps(outer: FormalMap, inner: FormalMap) -> FormalMap:
     n = outer.n
     if inner.n != n:
         raise ValueError(f"mismatched truncation orders {inner.n} != {n}")
-    zv = HoloSeries2(n, {(1, 0): ONE})
-    wv = HoloSeries2(n, {(0, 1): ONE})
-    z1 = zv + inner.f
-    w1 = wv + inner.g
+    z1 = HoloSeries2.var("z", n) + inner.f
+    w1 = HoloSeries2.var("w", n) + inner.g
     # outer components evaluated on the inner image
-    f_new = inner.f + outer.f.compose2(z1, w1)
-    g_new = inner.g + outer.g.compose2(z1, w1)
+    f_new = inner.f + substitute(outer.f, z1, w1)
+    g_new = inner.g + substitute(outer.g, z1, w1)
     return FormalMap(f_new, g_new)
 
 
@@ -597,15 +496,15 @@ def invert_map(m: FormalMap, max_passes: int | None = None) -> FormalMap:
     1-jet is singular has no inverse and the iteration reports failure.
     """
     n = m.n
-    zv = HoloSeries2(n, {(1, 0): ONE})
-    wv = HoloSeries2(n, {(0, 1): ONE})
+    zv = HoloSeries2.var("z", n)
+    wv = HoloSeries2.var("w", n)
     fi, gi = HoloSeries2(n), HoloSeries2(n)
     limit = max_passes if max_passes is not None else 3 * (n + 2)
     for _ in range(limit):
         z1 = zv + fi
         w1 = wv + gi
-        fn = -(m.f.compose2(z1, w1))
-        gn = -(m.g.compose2(z1, w1))
+        fn = -substitute(m.f, z1, w1)
+        gn = -substitute(m.g, z1, w1)
         if fn == fi and gn == gi:
             return FormalMap(fi, gi)
         fi, gi = fn, gn
@@ -714,24 +613,6 @@ class UniSeries:
 
     def is_real(self) -> bool:
         return all(c.is_real() for c in self.coeffs)
-
-    def eval_series3(self, x_repl: Series3) -> Series3:
-        """Substitute a zero-constant-term Series3 for the variable."""
-        if x_repl.has_constant_term():
-            raise ValueError("composition requires vanishing constant term")
-        n = x_repl.n
-        px = _PowCache(x_repl)
-        out = Series3(n)
-        if not self.coeffs[0].is_zero():
-            out = out + Series3(n, {(0, 0, 0): self.coeffs[0]})
-        mindeg = x_repl.min_degree()
-        for j in range(1, self.order + 1):
-            if mindeg * j > n:
-                break
-            c = self.coeffs[j]
-            if not c.is_zero():
-                out = out + px(j) * c
-        return out
 
     def __repr__(self) -> str:
         return f"UniSeries(order={self.order}, {[str(c) for c in self.coeffs]})"

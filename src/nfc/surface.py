@@ -296,8 +296,8 @@ def _image_side(M: GraphSurface, m: FormalMap):
     zv = Series3.var("z", n)
     uv = Series3.var("u", n)
     W = uv + phi * I
-    f_here = m.f.eval_series3(zv, W)
-    g_here = m.g.eval_series3(zv, W)
+    f_here = substitute(m.f, zv, W)
+    g_here = substitute(m.g, zv, W)
     z1 = zv + f_here
     re_part, im_part = split_real_imag(g_here)
     u1 = uv + re_part
@@ -346,8 +346,8 @@ def infinitesimal_defect(M: GraphSurface, X_z: HoloSeries2, X_w: HoloSeries2) ->
     zv = Series3.var("z", n)
     uv = Series3.var("u", n)
     W = uv + phi * I
-    xz = X_z.eval_series3(zv, W)
-    xw = X_w.eval_series3(zv, W)
+    xz = substitute(X_z, zv, W)
+    xw = substitute(X_w, zv, W)
     half = GaussianRational(Fraction(1, 2))
     rho_z = -phi.diff("z")
     rho_w = Series3(n, {(0, 0, 0): half / I}) - phi.diff("u") * half

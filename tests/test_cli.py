@@ -203,3 +203,40 @@ class TestCommands:
                                "--order-total", "9", "--format", "text")
         assert code == 0
         assert "resonances" in out and "json" not in out
+
+
+#: (argv, spec files) whose literals are malformed; "{name}" in argv is the
+#: path of the spec file written from files[name]
+MALFORMED_LITERALS = {
+    "map exponent": (["verify-map", "--family", "mm", "--m", "1", "--order-total", "9",
+                      "--map", "{map}"],
+                     {"map": {"f": [{"l": "x", "k": 1, "re": "1"}], "g": []}}),
+    "map coefficient": (["verify-map", "--family", "mm", "--m", "1", "--order-total", "9",
+                         "--map", "{map}"],
+                        {"map": {"f": [{"l": 2, "k": 1, "re": "abc"}], "g": []}}),
+    "field coefficient": (["verify-field", "--family", "mmt", "--m", "1", "--T", "1",
+                           "--order-total", "9", "--field", "{field}"],
+                          {"field": {"Xz": [{"l": 1, "k": 1, "re": "1/0"}], "Xw": []}}),
+    "series coefficient": (["charpoly", "--surface", "{surface}"],
+                           {"surface": {"order": 9, "series": [
+                               {"a": 1, "b": 1, "c": 1, "re": "one"}]}}),
+    "surface order": (["charpoly", "--surface", "{surface}"],
+                      {"surface": {"order": "nine", "expr": "u*z*zb"}}),
+    "family parameter in a file": (["charpoly", "--surface", "{surface}"],
+                                   {"surface": {"order": 9, "family": {
+                                       "name": "cd", "C": "x", "D": "0"}}}),
+    "family parameter flag": (["charpoly", "--family", "cd", "--C", "x", "--D", "0",
+                               "--order-total", "9"], {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LITERALS))
+def test_malformed_literal_exit_2(capsys, tmp_path, case):
+    argv, files = MALFORMED_LITERALS[case]
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert "parse error" in err

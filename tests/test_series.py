@@ -251,6 +251,123 @@ class TestSubstitute:
             assert step == substitute(s, *combined)
 
 
+def compose2_reference(h, z_repl, w_repl):
+    """The former HoloSeries2.compose2: one product and one add per term of h."""
+    n = h.n
+    out = HoloSeries2(n)
+    for (l, k), v in sorted(h.terms.items()):
+        piece = HoloSeries2(n, {(0, 0): ONE})
+        for _ in range(l):
+            piece = piece * z_repl
+        for _ in range(k):
+            piece = piece * w_repl
+        out = out + piece * v
+    return out
+
+
+def eval_series3_reference(h, z_repl, w_repl):
+    """The former HoloSeries2.eval_series3: h at Series3 arguments, grouped by l."""
+    n = z_repl.n
+    by_l: dict = {}
+    for (l, k), v in h.terms.items():
+        by_l.setdefault(l, []).append((k, v))
+    out = Series3(n)
+    for l in sorted(by_l):
+        wpoly = Series3(n)
+        for k, v in by_l[l]:
+            wk = Series3(n, {(0, 0, 0): ONE})
+            for _ in range(k):
+                wk = wk * w_repl
+            wpoly = wpoly + wk * v
+        zl = Series3(n, {(0, 0, 0): ONE})
+        for _ in range(l):
+            zl = zl * z_repl
+        out = out + zl * wpoly
+    return out
+
+
+def holo_with_constant(make, n):
+    h = make.holo2(n, nterms=6)
+    return h + make.gaussian(span=3)
+
+
+class TestSubstituteCarriers:
+    """substitute against the two composition loops it replaced."""
+
+    def test_holo_replacements_match_compose2(self, make):
+        for i in range(24):
+            n = 3 + i % 6
+            h = holo_with_constant(make, n)
+            z1 = make.holo2(n, 3) + (HoloSeries2.var("z", n) if i % 3 else 0)
+            w1 = make.holo2(n, 3) + (HoloSeries2.var("w", n) if i % 4 else 0)
+            out = substitute(h, z1, w1)
+            assert type(out) is HoloSeries2
+            assert out == compose2_reference(h, z1, w1)
+
+    def test_series3_replacements_match_eval_series3(self, make):
+        for i in range(24):
+            n = 3 + i % 6
+            h = holo_with_constant(make, n)
+            z1 = make.series3(n, 3) + (var("z", n) if i % 3 else 0)
+            w1 = var("u", n) + make.hermitian_series3(n, 4) * I
+            out = substitute(h, z1, w1)
+            assert type(out) is Series3
+            assert out == eval_series3_reference(h, z1, w1)
+
+    def test_series3_into_holo_replacements(self):
+        n = 5
+        hz, hw = HoloSeries2.var("z", n), HoloSeries2.var("w", n)
+        s = S(n, {(1, 0, 2): 3, (0, 1, 0): I, (0, 0, 0): 2})
+        assert substitute(s, hz, hw, hw) == HoloSeries2(n, {(1, 2): 3, (0, 1): I, (0, 0): 2})
+
+    @pytest.mark.parametrize("kind", [Series3, HoloSeries2])
+    def test_errors(self, kind):
+        n = 4
+        x = kind.var(kind.VARS[0], n)
+        for s in (S(n, {(1, 1, 1): 1}), HoloSeries2(n, {(1, 1): 1})):
+            m = len(s.VARS)
+            with pytest.raises(ValueError, match=f"takes {m} replacements, got {m + 1}"):
+                substitute(s, *[x] * (m + 1))
+            with pytest.raises(ValueError, match="mismatched truncation orders"):
+                substitute(s, *[x] * (m - 1), kind.var(kind.VARS[0], n + 1))
+            with pytest.raises(ValueError, match="vanishing constant term"):
+                substitute(s, *[x] * (m - 1), x + 1)
+        other = HoloSeries2 if kind is Series3 else Series3
+        with pytest.raises(TypeError, match="one type"):
+            substitute(HoloSeries2(n, {(1, 1): 1}), x, other.var("z", n))
+
+
+class TestSharedCore:
+    def test_carriers_do_not_mix(self):
+        n = 4
+        with pytest.raises(TypeError, match="cannot combine Series3 with HoloSeries2"):
+            Series3.var("z", n) + HoloSeries2.var("z", n)
+        with pytest.raises(TypeError, match="cannot combine HoloSeries2 with Series3"):
+            HoloSeries2.var("z", n) * Series3.var("z", n)
+        assert Series3.zero(n) != HoloSeries2.zero(n)
+        assert HoloSeries2.zero(n) != Series3.zero(n)
+        assert S(n, {(1, 0, 0): 1}) != HoloSeries2(n, {(1, 0): 1})
+
+    def test_holo_scalar_coercion(self):
+        n = 4
+        h = HoloSeries2(n, {(1, 1): I, (0, 2): 1})
+        assert h + 1 == HoloSeries2(n, {(1, 1): I, (0, 2): 1, (0, 0): 1})
+        half = Fraction(1, 2)
+        assert h - half == HoloSeries2(n, {(1, 1): I, (0, 2): 1, (0, 0): -half})
+        assert (h + I) - I == h
+        assert 2 * h == h + h and (h * 0).is_zero()
+        assert HoloSeries2.var("w", n).has_constant_term() is False
+        assert (h + 1).has_constant_term() and (h + 1).min_degree() == 0
+
+    def test_series3_product_in_its_class_dict(self):
+        assert Series3.__dict__["__mul__"] is Series3.__dict__["__rmul__"]
+
+    def test_immutable_names_the_class(self):
+        for s in (Series3.zero(3), HoloSeries2.zero(3)):
+            with pytest.raises(AttributeError, match=f"{type(s).__name__} is immutable"):
+                s.n = 4
+
+
 class TestHermitian:
     def test_fixed_point(self):
         s = S(5, {(1, 1, 1): 1})
