@@ -35,7 +35,7 @@ from .surface import (
 )
 from .resonance import char_poly
 from .normalizer import normalize
-from .families import FamilySpec, gen_Ht, gen_X, generate
+from .families import FAMILY_PARAMS, FamilySpec, gen_Ht, gen_X, generate
 
 DEFAULT_ORDER = 13
 
@@ -231,6 +231,14 @@ def _literal(val, what: str, integer: bool = False):
         raise ParseError(f"{what} must be {kind} literal, got {val!r}") from None
 
 
+def _count(val, what: str) -> int:
+    """A spec literal that must be a non-negative integer: an exponent or an order."""
+    n = _literal(val, what, integer=True)
+    if n < 0:
+        raise ParseError(f"{what} must be non-negative, got {val!r}")
+    return n
+
+
 def _coefficient(item: dict) -> GaussianRational:
     """The coefficient re + i*im of a series item; absent parts are 0."""
     return GaussianRational(_literal(item.get("re", "0"), "re"),
@@ -242,7 +250,7 @@ def _holo_side(items, order: int, what: str) -> HoloSeries2:
     terms = {}
     try:
         for item in items:
-            key = tuple(_literal(item[e], e, integer=True) for e in "lk")
+            key = tuple(_count(item[e], e) for e in "lk")
             val = _coefficient(item)
             if not val.is_zero():
                 terms[key] = val
@@ -279,7 +287,7 @@ def parse_surface_spec(obj, default_order: int = DEFAULT_ORDER) -> dict:
     """Normalize a raw spec object (from JSON or flags) to {order, family|series|expr}."""
     if not isinstance(obj, dict):
         raise ParseError("surface spec must be a JSON object")
-    order = _literal(obj.get("order", default_order), "order", integer=True)
+    order = _count(obj.get("order", default_order), "order")
     kinds = [k for k in ("family", "series", "expr") if k in obj]
     if len(kinds) != 1:
         raise ParseError("surface spec needs exactly one of: family, series, expr")
@@ -289,17 +297,19 @@ def parse_surface_spec(obj, default_order: int = DEFAULT_ORDER) -> dict:
         if not isinstance(fam, dict) or "name" not in fam:
             raise ParseError("family spec needs a name")
         name = fam["name"]
-        params = {}
-        for key, val in fam.items():
-            if key == "name":
-                continue
-            params[key] = _literal(val, key, integer=key == "m")
+        if not isinstance(name, str) or name not in FAMILY_PARAMS:
+            raise ParseError(f"unknown family {name!r}")
+        params = {key: _literal(val, key, integer=key == "m")
+                  for key, val in fam.items() if key != "name"}
+        for key in FAMILY_PARAMS[name]:
+            if key not in params:
+                raise ParseError(f"family {name!r} needs the parameter {key}")
         return {"order": order, "family": {"name": name, **params}}
     if kind == "series":
         terms = {}
         for item in obj["series"]:
             try:
-                key = tuple(_literal(item[e], e, integer=True) for e in "abc")
+                key = tuple(_count(item[e], e) for e in "abc")
                 val = _coefficient(item)
             except (KeyError, TypeError) as exc:
                 raise ParseError(f"bad series item {item!r}") from exc
@@ -427,14 +437,9 @@ def _resolve_surface(args) -> tuple[dict, GraphSurface]:
         spec = parse_surface_spec(raw, default_order=order)
     elif args.family:
         fam = {"name": args.family}
-        if args.m is not None:
-            fam["m"] = args.m
-        if args.T is not None:
-            fam["T"] = args.T
-        if args.C is not None:
-            fam["C"] = args.C
-        if args.D is not None:
-            fam["D"] = args.D
+        for key in ("m", "T", "C", "D"):
+            if getattr(args, key) is not None:
+                fam[key] = getattr(args, key)
         spec = parse_surface_spec({"order": order, "family": fam}, default_order=order)
     elif args.expr:
         spec = parse_surface_spec({"order": order, "expr": args.expr}, default_order=order)

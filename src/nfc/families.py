@@ -25,6 +25,11 @@ class FamilySpec:
     order: int = 13
 
 
+#: the families ``generate`` knows and the parameters each requires; cd
+#: defaults C and D to 0
+FAMILY_PARAMS = {"quadric": (), "cd": (), "mm": ("m",), "mmt": ("m", "T")}
+
+
 def generate(spec: FamilySpec) -> GraphSurface:
     """Dispatch a FamilySpec to its generator."""
     n = spec.order

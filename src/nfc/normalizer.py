@@ -4,8 +4,10 @@ The pipeline first kills the u-linear coefficients phi_{l1}, l >= 2, with a
 pure-z map (one coefficient per step, induction in l).  Each later stage k
 assembles the exact affine system relating the stage-k map coefficients
 f_{l,k-1}, g_{l,k} to the u-level-k coefficients of the transformed surface,
-solves it over the rationals, applies the genuine transform, and verifies
-that the targeted coefficients really vanished.
+solves it exactly by fraction-free elimination over the integers, applies
+the genuine transform, and verifies that the targeted coefficients really
+vanished.  The same elimination decides whether the distinguished 9x9 block
+is singular, that is, whether stage k is resonant.
 
 The affine system is exact because stage-k unknowns interact only above
 level k: every f-coefficient carries u-weight k-1 and lands in a slot worth
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .scalar import GaussianRational, ONE, I
 from .series import FormalMap, HoloSeries2, Series3, compose_maps
@@ -72,27 +75,34 @@ class StageSystem:
         return [[self.matrix[i][j] for j in self.tagged_cols] for i in self.tagged_rows]
 
     def tagged_block_singular(self) -> bool:
-        return _det_fractions(self.tagged_block()) == 0
+        pivots, _ = _eliminate(self.tagged_block(), len(TAGGED_UNKNOWNS))
+        return len(pivots) < len(TAGGED_UNKNOWNS)
 
 
-def _det_fractions(rows) -> Fraction:
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+def _eliminate(rows, ncols: int):
+    """Bareiss reduction of rational rows, taken in order, over the integers.
+
+    Each row is cleared of denominators and reduced against the pivot rows
+    found so far; every entry stays an integer minor (Sylvester's identity),
+    so each division is exact.  Returns ``(pivots, dependent)``: the
+    ``(col, row)`` of each row with a nonzero entry below ``ncols``, col the
+    first one, and the ``(index, row)`` of each row that vanishes there.
+    """
+    pivots, dependent = [], []
+    for i, row in enumerate(rows):
+        scale = lcm(*(x.denominator for x in row))
+        r = [x.numerator * (scale // x.denominator) for x in row]
+        prev = 1
+        for col, p in pivots:
+            a, c = p[col], r[col]
+            r = [(a * x - c * y) // prev for x, y in zip(r, p)]
+            prev = a
+        col = next((j for j in range(ncols) if r[j]), None)
+        if col is None:
+            dependent.append((i, r))
+        else:
+            pivots.append((col, r))
+    return pivots, dependent
 
 
 def _psi(M: GraphSurface, n2: int) -> Series3:
@@ -247,44 +257,31 @@ class StageSolution:
 
 
 def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
-    """Exact Gaussian elimination over the rationals.
+    """Exact solve by fraction-free elimination over the integers.
 
-    Nonsingular systems give the unique solution.  Singular ones: under
-    "strict" raise, naming the stage as resonant; under "gauge_zero" the
-    free variables are set to zero, inconsistent target equations are
+    The rows are reduced in condition order by ``_eliminate``, and the
+    values come from back-substitution in ``Fraction``.  Nonsingular systems
+    give the unique solution.  Singular ones: under "strict" raise, naming
+    the stage as resonant; under "gauge_zero" the free variables (the
+    non-pivot columns) are set to zero, inconsistent target equations are
     dropped and their leftover values recorded.
     """
     if policy not in ("strict", "gauge_zero"):
         raise ValueError(f"unknown policy {policy!r}")
     ncols = len(sys.unknowns)
-    pivots = {}   # col -> fully reduced augmented row (Gauss-Jordan)
-    dropped = []
-    for i in range(len(sys.conditions)):
-        r = list(sys.matrix[i]) + [sys.rhs[i]]
-        for col, prow in pivots.items():
-            if r[col] != 0:
-                factor = r[col]
-                r = [a - factor * b for a, b in zip(r, prow)]
-        piv = next((j for j in range(ncols) if r[j] != 0), None)
-        if piv is None:
-            if r[ncols] != 0:
-                dropped.append((i, r[ncols]))
-            continue
-        inv = 1 / r[piv]
-        r = [a * inv for a in r]
-        for col, prow in pivots.items():
-            if prow[piv] != 0:
-                factor = prow[piv]
-                pivots[col] = [a - factor * b for a, b in zip(prow, r)]
-        pivots[piv] = r
-    free = [sys.unknowns[j] for j in range(ncols) if j not in pivots]
+    pivots, dependent = _eliminate(
+        [row + [b] for row, b in zip(sys.matrix, sys.rhs)], ncols)
+    dropped = [sys.conditions[i] for i, r in dependent if r[ncols]]
+    pivot_cols = {col for col, _ in pivots}
+    free = [u for j, u in enumerate(sys.unknowns) if j not in pivot_cols]
     singular = bool(free) or bool(dropped)
     if singular and policy == "strict":
         raise ValueError(f"stage k={sys.k} is resonant: singular normalization system")
-    # free variables pinned to zero, so pivot rows read off directly
+    # free variables pinned to zero; a pivot row vanishes at the pivot
+    # columns found before it, so back-substitution runs from the last one
     values = [Fraction(0)] * ncols
-    for col, prow in pivots.items():
-        values[col] = prow[ncols]
+    for col, r in reversed(pivots):
+        values[col] = Fraction(r[ncols] - sum(x * v for x, v in zip(r, values) if v), r[col])
     # re-check consistency of all equations, collect leftover targets
     residuals = []
     for i, cond in enumerate(sys.conditions):
@@ -297,7 +294,7 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
         status="resonant" if singular else "solved",
         values={sys.unknowns[j]: values[j] for j in range(ncols)},
         free=free,
-        dropped=[sys.conditions[i] for i, _ in dropped],
+        dropped=dropped,
         residuals=residuals,
     )
 
@@ -305,25 +302,13 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
 def stage_map(sol: StageSolution, n: int) -> FormalMap:
     """Assemble the FormalMap carrying the solved stage coefficients."""
     k = sol.k
-    f_terms: dict = {}
-    g_terms: dict = {}
-    acc: dict = {}
+    f_terms, g_terms = [], []
     for (kind, l, part), val in sol.values.items():
-        key = (kind, l)
-        re, im = acc.get(key, (Fraction(0), Fraction(0)))
-        if part == "re":
-            re = val
-        else:
-            im = val
-        acc[key] = (re, im)
-    for (kind, l), (re, im) in acc.items():
-        coeff = GaussianRational(re, im)
-        if coeff.is_zero():
-            continue
+        coeff = GaussianRational(val) if part == "re" else GaussianRational(0, val)
         if kind == "f":
-            f_terms[(l, k - 1)] = coeff
+            f_terms.append(((l, k - 1), coeff))
         else:
-            g_terms[(l, k)] = coeff
+            g_terms.append(((l, k), coeff))
     return FormalMap(HoloSeries2(n, f_terms), HoloSeries2(n, g_terms))
 
 

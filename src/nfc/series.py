@@ -487,20 +487,20 @@ def compose_maps(outer: FormalMap, inner: FormalMap) -> FormalMap:
     return FormalMap(f_new, g_new)
 
 
-def invert_map(m: FormalMap, max_passes: int | None = None) -> FormalMap:
+def invert_map(m: FormalMap) -> FormalMap:
     """Inverse map: compose_maps(m, invert_map(m)) is the identity to order N.
 
     The fixed-point iteration converges whenever the 1-jet of the map is
     unipotent, in particular whenever f01 * g10 = 0; every map produced by
     the normalization pipeline has g(z, 0) = 0 and qualifies.  A map whose
-    1-jet is singular has no inverse and the iteration reports failure.
+    1-jet is singular has no inverse and the iteration reports failure
+    after 3 * (N + 2) passes.
     """
     n = m.n
     zv = HoloSeries2.var("z", n)
     wv = HoloSeries2.var("w", n)
     fi, gi = HoloSeries2(n), HoloSeries2(n)
-    limit = max_passes if max_passes is not None else 3 * (n + 2)
-    for _ in range(limit):
+    for _ in range(3 * (n + 2)):
         z1 = zv + fi
         w1 = wv + gi
         fn = -substitute(m.f, z1, w1)

@@ -205,8 +205,9 @@ class TestCommands:
         assert "resonances" in out and "json" not in out
 
 
-#: (argv, spec files) whose literals are malformed; "{name}" in argv is the
-#: path of the spec file written from files[name]
+#: (argv, spec files) that are malformed: a bad literal, a negative exponent
+#: or order, or an unknown family or a missing family parameter; "{name}" in
+#: argv is the path of the spec file written from files[name]
 MALFORMED_LITERALS = {
     "map exponent": (["verify-map", "--family", "mm", "--m", "1", "--order-total", "9",
                       "--map", "{map}"],
@@ -227,6 +228,24 @@ MALFORMED_LITERALS = {
                                        "name": "cd", "C": "x", "D": "0"}}}),
     "family parameter flag": (["charpoly", "--family", "cd", "--C", "x", "--D", "0",
                                "--order-total", "9"], {}),
+    "missing family parameter m": (["resonances", "--family=mm", "--order-total=9"], {}),
+    "missing family parameter T": (["resonances", "--family=mmt", "--m=1"], {}),
+    "missing family parameter in a file": (["resonances", "--surface", "{surface}"],
+                                           {"surface": {"order": 9, "family": {"name": "mm"}}}),
+    "unknown family": (["resonances", "--family=mn", "--m=1"], {}),
+    "family name not a string": (["resonances", "--surface", "{surface}"],
+                                 {"surface": {"order": 9, "family": {"name": ["mm"]}}}),
+    "negative map exponent": (["verify-map", "--family", "mm", "--m", "1", "--order-total", "9",
+                               "--map", "{map}"],
+                              {"map": {"f": [{"l": -1, "k": 2, "re": "1"}]}}),
+    "negative series exponent": (["charpoly", "--surface", "{surface}"],
+                                 {"surface": {"order": 9, "series": [
+                                     {"a": 1, "b": 1, "c": 1, "re": "1"},
+                                     {"a": -1, "b": 3, "c": 1, "re": "1"},
+                                     {"a": 3, "b": -1, "c": 1, "re": "1"}]}}),
+    "negative surface order": (["charpoly", "--surface", "{surface}"],
+                               {"surface": {"order": -3, "series": [
+                                   {"a": 1, "b": 1, "c": 1, "re": "1"}]}}),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from nfc.scalar import GaussianRational, I, ONE, ZERO
 from nfc.series import FormalMap, HoloSeries2, Series3
 from nfc.surface import GraphSurface, check_normal_form, jet7, map_defect, transform
-from nfc.resonance import char_poly, matrix_A
+from nfc.resonance import KMatrix, char_poly, det, matrix_A
 from nfc.normalizer import (
     GroupElement,
     TAGGED_CONDITIONS,
@@ -20,7 +20,7 @@ from nfc.normalizer import (
     stage_map,
     stage_system,
 )
-from nfc.families import gen_cd, gen_mm, gen_quadric
+from nfc.families import gen_cd, gen_mm, gen_mmt, gen_quadric
 
 
 def surf(n, terms):
@@ -133,6 +133,35 @@ class TestSolveStage:
         assert sol.free
         for label in sol.free:
             assert sol.values[label] == 0
+
+    def test_singular_iff_det_zero(self, make):
+        # the elimination against the independent minor expansion of det
+        cases = [(make.class_surface(11, nterms=6), k) for _ in range(3) for k in range(2, 6)]
+        cases += [(gen_mm(1, 11), 2), (gen_mm(1, 11), 3), (gen_mm(2, 11), 3),
+                  (gen_mm(2, 11), 5), (gen_mmt(2, 1, 11), 3)]
+        seen = set()
+        for M, k in cases:
+            sys = stage_system(M, k)
+            singular = sys.tagged_block_singular()
+            assert singular == det(KMatrix(sys.tagged_block())).is_zero(), k
+            seen.add(singular)
+        assert seen == {True, False}
+
+    def test_resonant_solve_pinned(self):
+        # under gauge_zero the pivot order decides which unknowns are free
+        # and which conditions are dropped; this run pins both
+        extra = {(2, 2, 2): 1, (3, 2, 2): GaussianRational(1, 2),
+                 (2, 3, 2): GaussianRational(1, -2), (3, 3, 3): Fraction(1, 3),
+                 (4, 2, 3): I, (2, 4, 3): -I, (5, 2, 2): 2, (2, 5, 2): 2}
+        M = GraphSurface(gen_mm(1, 11).phi + Series3(11, extra))
+        stages = normalize(M, 5).stages
+        assert [(s.k, s.status) for s in stages] == [
+            (2, "resonant"), (3, "resonant"), (4, "solved"), (5, "solved")]
+        assert stages[0].gauge == [("f", 2, "re"), ("f", 2, "im")]
+        assert stages[0].residuals == [((3, 2, 2), GaussianRational(1, 2))]
+        assert stages[1].gauge == [("f", 1, "re")]
+        assert stages[1].residuals == [((3, 3, 3), GaussianRational(Fraction(-7, 6)))]
+        assert not stages[2].gauge and not stages[3].gauge
 
 
 class TestNormalize:
