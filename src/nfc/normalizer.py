@@ -75,23 +75,28 @@ class StageSystem:
         return [[self.matrix[i][j] for j in self.tagged_cols] for i in self.tagged_rows]
 
     def tagged_block_singular(self) -> bool:
-        pivots, _ = _eliminate(self.tagged_block(), len(TAGGED_UNKNOWNS))
+        rows = [_cleared(row)[1] for row in self.tagged_block()]
+        pivots, _ = _eliminate(rows, len(TAGGED_UNKNOWNS))
         return len(pivots) < len(TAGGED_UNKNOWNS)
 
 
-def _eliminate(rows, ncols: int):
-    """Bareiss reduction of rational rows, taken in order, over the integers.
+def _cleared(row) -> tuple:
+    """(scale, integers): a rational row times the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in row))
+    return scale, [x.numerator * (scale // x.denominator) for x in row]
 
-    Each row is cleared of denominators and reduced against the pivot rows
-    found so far; every entry stays an integer minor (Sylvester's identity),
-    so each division is exact.  Returns ``(pivots, dependent)``: the
-    ``(col, row)`` of each row with a nonzero entry below ``ncols``, col the
-    first one, and the ``(index, row)`` of each row that vanishes there.
+
+def _eliminate(rows, ncols: int):
+    """Bareiss reduction of integer rows, taken in order.
+
+    Each row is reduced against the pivot rows found so far; every entry
+    stays an integer minor (Sylvester's identity), so each division is
+    exact.  Returns ``(pivots, dependent)``: the ``(col, row)`` of each row
+    with a nonzero entry below ``ncols``, col the first one, and the
+    ``(index, row)`` of each row that vanishes there.
     """
     pivots, dependent = [], []
-    for i, row in enumerate(rows):
-        scale = lcm(*(x.denominator for x in row))
-        r = [x.numerator * (scale // x.denominator) for x in row]
+    for i, r in enumerate(rows):
         prev = 1
         for col, p in pivots:
             a, c = p[col], r[col]
@@ -269,8 +274,8 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     if policy not in ("strict", "gauge_zero"):
         raise ValueError(f"unknown policy {policy!r}")
     ncols = len(sys.unknowns)
-    pivots, dependent = _eliminate(
-        [row + [b] for row, b in zip(sys.matrix, sys.rhs)], ncols)
+    cleared = [_cleared(row + [b]) for row, b in zip(sys.matrix, sys.rhs)]
+    pivots, dependent = _eliminate([r for _, r in cleared], ncols)
     dropped = [sys.conditions[i] for i, r in dependent if r[ncols]]
     pivot_cols = {col for col, _ in pivots}
     free = [u for j, u in enumerate(sys.unknowns) if j not in pivot_cols]
@@ -282,13 +287,15 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     values = [Fraction(0)] * ncols
     for col, r in reversed(pivots):
         values[col] = Fraction(r[ncols] - sum(x * v for x, v in zip(r, values) if v), r[col])
-    # re-check consistency of all equations, collect leftover targets
+    # re-check every equation on the cleared integer rows, against the
+    # solution over one common denominator D, and collect leftover targets
+    D = lcm(*(v.denominator for v in values))
+    scaled = [(j, v.numerator * (D // v.denominator)) for j, v in enumerate(values) if v]
     residuals = []
-    for i, cond in enumerate(sys.conditions):
-        lhs = sum(sys.matrix[i][j] * values[j] for j in range(ncols))
-        leftover = sys.rhs[i] - lhs
-        if leftover != 0:
-            residuals.append((cond, leftover))
+    for cond, (scale, r) in zip(sys.conditions, cleared):
+        t = r[ncols] * D - sum(r[j] * x for j, x in scaled)
+        if t:
+            residuals.append((cond, Fraction(t, scale * D)))
     return StageSolution(
         k=sys.k,
         status="resonant" if singular else "solved",

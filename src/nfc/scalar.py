@@ -299,6 +299,8 @@ class KPoly:
         return kpoly_eval(self, x)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            other = _as_kpoly(other)
         if not isinstance(other, KPoly):
             return NotImplemented
         return self.coeffs == other.coeffs

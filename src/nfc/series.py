@@ -19,12 +19,24 @@ All coefficients are GaussianRational and all operations are exact: a
 product simply drops monomials beyond the truncation order, and compositions
 require vanishing constant terms so the truncated result is well defined.
 
-Products run one kernel.  Each operand is put once, and cached, over the
-lcm D of its coefficient denominators, with monomials packed into single
-integers (base N + 1) so that adding keys adds exponents.  The kernel sums
-Gaussian-integer numerator products per output monomial and reduces each
-nonzero sum once, over Dl * Dr: one gcd per output coefficient instead of
-two per term pair.
+Products and compositions run on one integer engine.  Each operand is put
+once, and cached, over the lcm D of its coefficient denominators, with
+monomials packed into single integers (base N + 1) so that adding keys adds
+exponents.  One multiply-accumulate loop, ``_accumulate``, sums
+Gaussian-integer numerator products per output monomial without reducing
+them.  A product reduces each nonzero sum once, over Dl * Dr: one gcd per
+output coefficient instead of two per term pair.
+
+A composition is evaluated at a ``_Point``, which holds the power tables of
+its replacements as integer forms and can be shared: the passes of
+``invert_real_triple`` share the tables of Z and conj Z between G and F, and
+its confirming pass shares all three with the pull-back of ``transform``.
+Each group of terms is assembled as one integer form, carried through the
+head products unreduced, and summed with the other groups over one common
+denominator, so each output coefficient is reduced once.  At a real point
+(Z, conj Z, U) with U Hermitian, a Hermitian series is composed from half
+of its groups and the Hermitian conjugate of their sum, and the powers of
+conj Z are the conjugates of the powers of Z.
 """
 
 from __future__ import annotations
@@ -37,16 +49,16 @@ from .scalar import GaussianRational, ZERO, ONE, I, as_gaussian
 _SCALARS = (int, Fraction, GaussianRational)
 
 
-def _mul_kernel(left: tuple, right: tuple, n: int) -> list:
-    """Product of two integer forms truncated at total degree n.
+def _accumulate(acc: dict, lrows, rrows, n: int) -> None:
+    """Add the product of two row lists, truncated at total degree n, into acc.
 
-    Returns (packed key, coefficient) for every nonzero output monomial.  The
-    Gaussian-integer products are summed per key, and each sum is reduced
-    once over Dl * Dr.
+    Rows are (degree, packed key, re, im) of Gaussian-integer numerators;
+    rrows must be sorted by degree so that the inner loop can stop early, and
+    lrows may come in any order.  acc maps a packed key to the unreduced sum
+    [re, im, degree]; nothing is reduced here.  This is the one
+    multiply-accumulate loop of the module: series products and
+    compositions both run on it.
     """
-    Dl, lrows = left
-    Dr, rrows = right
-    acc: dict = {}
     get = acc.get
     for dl, k1, r1, i1 in lrows:
         lim = n - dl
@@ -56,13 +68,33 @@ def _mul_kernel(left: tuple, right: tuple, n: int) -> list:
             key = k1 + k2
             s = get(key)
             if s is None:
-                acc[key] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+                acc[key] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, dl + dr]
             else:
                 s[0] += r1 * r2 - i1 * i2
                 s[1] += r1 * i2 + i1 * r2
+
+
+def _reduced(acc: dict, D: int) -> list:
+    """(packed key, coefficient) for each nonzero sum of acc, reduced once over D."""
     raw = GaussianRational._raw
-    D = Dl * Dr
-    return [(key, raw(sr, si, D)) for key, (sr, si) in acc.items() if sr or si]
+    return [(key, raw(sr, si, D)) for key, (sr, si, _) in acc.items() if sr or si]
+
+
+def _rows(acc: dict) -> list:
+    """The nonzero unreduced sums of acc as kernel rows, in no particular order."""
+    return [(d, key, sr, si) for key, (sr, si, d) in acc.items() if sr or si]
+
+
+def _mul_kernel(left: tuple, right: tuple, n: int) -> list:
+    """Product of two integer forms truncated at total degree n.
+
+    Returns (packed key, coefficient) for every nonzero output monomial.  The
+    Gaussian-integer products are summed per key, and each sum is reduced
+    once over Dl * Dr.
+    """
+    acc: dict = {}
+    _accumulate(acc, left[1], right[1], n)
+    return _reduced(acc, left[0] * right[0])
 
 
 class _SparseSeries:
@@ -298,8 +330,20 @@ def hermitian_conjugate(s: Series3) -> Series3:
     return Series3._make(s.n, {(b, a, c): v.conjugate() for (a, b, c), v in s.terms.items()})
 
 
+def _conjugates(x: Series3, y: Series3) -> bool:
+    """Whether y == hermitian_conjugate(x), decided without building the conjugate."""
+    if x.n != y.n or len(x.terms) != len(y.terms):
+        return False
+    yt = y.terms
+    for (a, b, c), v in x.terms.items():
+        w = yt.get((b, a, c))
+        if w is None or w.nre != v.nre or w.nim != -v.nim or w.den != v.den:
+            return False
+    return True
+
+
 def is_hermitian(s: Series3) -> bool:
-    return hermitian_conjugate(s) == s
+    return _conjugates(s, s)
 
 
 def split_real_imag(s: Series3) -> tuple[Series3, Series3]:
@@ -328,16 +372,144 @@ class _PowCache:
         return self.pows[e]
 
 
+def _swap(key: int, B: int) -> int:
+    """The packed key of (b, a, c) for the packed key of (a, b, c), in base B."""
+    ab, c = divmod(key, B)
+    a, b = divmod(ab, B)
+    return (b * B + a) * B + c
+
+
+#: The integer form of the constant 1, the zeroth power of every replacement.
+_ONE_FORM = (1, [(0, 0, 1, 0)])
+
+
+def _power_table(r: _SparseSeries) -> list:
+    return [_ONE_FORM, r._integer_form()]
+
+
+class _Point:
+    """Replacements (r1, ..., rm) at which sparse series are evaluated.
+
+    The point holds one power table per replacement: the integer forms of
+    r^0, r^1, ..., each built on first use from the one before and reduced
+    to the lcm of its denominators, which makes it the cached integer form
+    of the reduced power.  At a point (Z, conj Z, U) the powers of conj Z
+    are read off those of Z by swapping z and zb and conjugating.  Every
+    series composed at the same point reuses the tables, and ``with_last``
+    makes a point that shares all tables but the last.
+    """
+
+    __slots__ = ("repls", "n", "kind", "tables", "conjugate_heads", "real")
+
+    def __init__(self, repls: tuple, tables=None):
+        self.repls = repls
+        self.n = repls[0].n
+        self.kind = type(repls[0])
+        self.tables = tables if tables is not None else [_power_table(r) for r in repls]
+        #: (Z, conj Z, ...): the powers of conj Z are the conjugates of Z's
+        self.conjugate_heads = (self.kind is Series3 and len(repls) == 3
+                                and _conjugates(repls[0], repls[1]))
+        #: (Z, conj Z, U) with U Hermitian: a series that is Hermitian in
+        #: (z, zb, u) then composes to a Hermitian series
+        self.real = self.conjugate_heads and is_hermitian(repls[2])
+
+    def with_last(self, r: _SparseSeries) -> "_Point":
+        """The point with the last replacement swapped for r; other tables shared."""
+        return _Point(self.repls[:-1] + (r,), self.tables[:-1] + [_power_table(r)])
+
+    def power(self, i: int, e: int) -> tuple:
+        """Integer form (D, rows) of the e-th power of replacement i."""
+        table = self.tables[i]
+        while len(table) <= e:
+            if i == 1 and self.conjugate_heads:
+                D, rows = self.power(0, len(table))
+                table.append((D, sorted((d, _swap(key, self.n + 1), sr, -si)
+                                        for d, key, sr, si in rows)))
+                continue
+            prev, base = table[-1], table[1]
+            acc: dict = {}
+            _accumulate(acc, prev[1], base[1], self.n)
+            D = prev[0] * base[0]
+            g = math.gcd(D, *(x for sr, si, _ in acc.values() for x in (sr, si)))
+            table.append((D // g, sorted((d, key, sr // g, si // g) for d, key, sr, si in _rows(acc))))
+        return table[e]
+
+    def compose(self, s: _SparseSeries) -> _SparseSeries:
+        """s at this point, truncated at N; s has one variable per replacement.
+
+        The terms of s are grouped by every exponent but the last.  A group's
+        polynomial in the last replacement is assembled as one integer form
+        over the lcm L of its terms' denominators, and is then multiplied by
+        the integer forms of the head powers.  The groups are brought to the
+        lcm D of their denominators L * D(r1^e1) * ... before these products,
+        so that all of them accumulate unreduced into one table, and each
+        output coefficient is reduced once over D.
+
+        At a real point a Hermitian s in (z, zb, u) composes to a Hermitian
+        series, and the conjugate of the group (a, b) is the group (b, a).
+        So only the groups with a <= b are computed, and the part with
+        a < b is added to the result together with its Hermitian conjugate.
+        """
+        n, kind, last = self.n, self.kind, len(self.repls) - 1
+        mirror = self.real and type(s) is Series3 and is_hermitian(s)
+        groups: dict = {}
+        for key, v in s.terms.items():
+            if mirror and key[0] > key[1]:
+                continue
+            groups.setdefault(key[:-1], []).append((key[-1], v))
+        built = []
+        for prefix, items in groups.items():
+            pows = [(v, self.power(last, e)) for e, v in items]
+            L = math.lcm(*(v.den * P[0] for v, P in pows))
+            acc: dict = {}
+            for v, (De, rows) in pows:
+                q = L // (v.den * De)
+                _accumulate(acc, [(0, 0, v.nre * q, v.nim * q)], rows, n)
+            rows = _rows(acc)
+            if rows:
+                heads = [self.power(i, e) for i, e in enumerate(prefix) if e]
+                built.append((mirror and prefix[0] < prefix[1], rows,
+                              math.prod((Dh for Dh, _ in heads), start=L), heads))
+        D = math.lcm(*(Dg for _, _, Dg, _ in built))
+        out: dict = {}
+        half: dict = {}     # the groups a < b of a mirrored composition
+        for lower, rows, Dg, heads in built:
+            m = D // Dg
+            if m != 1:
+                rows = [(d, key, sr * m, si * m) for d, key, sr, si in rows]
+            for _, hrows in heads[:-1]:
+                acc = {}
+                _accumulate(acc, rows, hrows, n)
+                rows = _rows(acc)
+            _accumulate(half if lower else out, rows, heads[-1][1] if heads else _ONE_FORM[1], n)
+        for key, (sr, si, d) in half.items():
+            for k, im in ((key, si), (_swap(key, n + 1), -si)):
+                t = out.get(k)
+                if t is None:
+                    out[k] = [sr, im, d]
+                else:
+                    t[0] += sr
+                    t[1] += im
+        return kind._make(n, kind._unpack(_reduced(out, D), n + 1))
+
+
 def substitute(s: _SparseSeries, *repls: _SparseSeries) -> _SparseSeries:
     """Exact composition s(*repls) truncated at N, of the replacements' type.
 
     s is a Series3 or HoloSeries2, and takes one replacement per variable;
     the replacements share one type, which may differ from s's.  They must
     have vanishing constant term so that only finitely many terms of s
-    contribute at each degree.  Terms are grouped by every exponent but the
-    last: the polynomial in the last replacement is assembled by cheap
-    scalar multiples and adds, and then multiplied by the powers of the
-    others.
+    contribute at each degree.
+
+    The composition runs on Gaussian integers from start to end (see
+    ``_Point.compose``): each group of terms that differ only in the last
+    exponent is assembled as one integer form, multiplied by the cached
+    integer forms of the other replacements' powers, and accumulated
+    unreduced over one common denominator; each output coefficient is
+    reduced once.  When s is a Hermitian Series3 and the point is real --
+    the second replacement is the Hermitian conjugate of the first and the
+    third is Hermitian -- only half of the groups are computed, and the
+    other half is their Hermitian conjugate.
     """
     n = s.n
     if len(repls) != len(s.VARS):
@@ -351,61 +523,33 @@ def substitute(s: _SparseSeries, *repls: _SparseSeries) -> _SparseSeries:
             raise ValueError(f"mismatched truncation orders {r.n} != {n}")
         if r.has_constant_term():
             raise ValueError("composition requires vanishing constant term")
-    *heads, plast = [_PowCache(r) for r in repls]
-    groups: dict = {}
-    for key, v in s.terms.items():
-        groups.setdefault(key[:-1], []).append((key[-1], v))
-    one = (0,) * len(kind.VARS)
-    out = kind(n)
-    for prefix in sorted(groups):
-        poly = kind(n)
-        cst = ZERO
-        for e, v in groups[prefix]:
-            if e == 0:
-                cst = cst + v
-            else:
-                poly = poly + plast(e) * v
-        if not cst.is_zero():
-            poly = poly + kind(n, {one: cst})
-        if poly.is_zero():
-            continue
-        for pw, e in zip(heads, prefix):
-            if e:
-                poly = pw(e) * poly
-        out = out + poly
-    return out
+    return _Point(repls).compose(s)
 
 
-def _reversion_pass(F: Series3, G: Series3, Z: Series3, U: Series3) -> tuple[Series3, Series3]:
-    """One Gauss-Seidel pass of (Z, U) <- (z - F(Z, Zc, U), u - G(Z, Zc, U)).
-
-    U is updated first and the new U feeds the Z update, so that F's linear
-    term a*u sees the current degree of U.
-    """
-    n = F.n
-    Zc = hermitian_conjugate(Z)
-    U = Series3.var("u", n) - (G if G.is_zero() else substitute(G, Z, Zc, U))
-    Z = Series3.var("z", n) - (F if F.is_zero() else substitute(F, Z, Zc, U))
-    return Z, U
-
-
-def invert_real_triple(z1: Series3, u1: Series3) -> tuple[Series3, Series3]:
+def invert_real_triple(z1: Series3, u1: Series3, *pull: Series3) -> tuple:
     """Invert the graph parametrization (z, zb, u) -> (z1, conj z1, u1).
 
     Returns (Z, U) in the image variables with Z(z1, conj z1, u1) = z and
     U(z1, conj z1, u1) = u to order N.  z1 must be z plus terms that are at
     least linear with the only admissible linear term a multiple of u (this
     is what stage maps produce through w = u + i*phi); u1 must be Hermitian
-    and equal u plus terms of degree >= 2.
+    and equal u plus terms of degree >= 2.  Each further series p in
+    ``pull`` is pulled back to the image variables too: p(Z, conj Z, U) is
+    appended to the result, computed with the power tables that the final
+    pass has already built.
 
     With F = z1 - z and G = u1 - u, (Z, U) is the fixed point of
     Z = z - F(Z, conj Z, U), U = u - G(Z, conj Z, U).  It is reached by a
     precision ramp: for d = 1, ..., N one Gauss-Seidel pass at order d,
     started from the order-(d-1) result, updates U first and then Z with
-    the new U.  G has no linear term and F's only linear term is a multiple
-    of u, so each pass fixes degree d of both components, and the order-d
-    result is the order-d part of the inverse.  A final pass at order N
-    must give (Z, U) back unchanged; otherwise the triple is rejected.
+    the new U.  G and F are evaluated at points that share the power tables
+    of Z and conj Z.  G has no linear term and F's only linear term is a
+    multiple of u, so each pass fixes degree d of both components, and the
+    order-d result is the order-d part of the inverse.  A final pass at
+    order N must give (Z, U) back unchanged; otherwise the triple is
+    rejected.  That pass evaluates F and G at the one point (Z, conj Z, U):
+    if U came back changed, the check fails whatever F gives.  G is
+    Hermitian and the points are real, so G's compositions are halved.
     """
     n = z1.n
     if u1.n != n:
@@ -422,12 +566,21 @@ def invert_real_triple(z1: Series3, u1: Series3) -> tuple[Series3, Series3]:
             raise ValueError("reversion requires identity linear part")
     if not is_hermitian(u1):
         raise ValueError("u-component of the triple must be Hermitian")
+    for p in pull:
+        if type(p) is not Series3:
+            raise TypeError("pulled-back series must be Series3")
+        if p.n != n:
+            raise ValueError(f"mismatched truncation orders {p.n} != {n}")
     Z, U = zv, uv
     for d in range(1, n + 1):
-        Z, U = _reversion_pass(F.truncate(d), G.truncate(d), Z.truncate(d), U.truncate(d))
-    if _reversion_pass(F, G, Z, U) != (Z, U):
+        Z = Z.truncate(d)
+        point = _Point((Z, hermitian_conjugate(Z), U.truncate(d)))
+        U = Series3.var("u", d) - point.compose(G.truncate(d))
+        Z = Series3.var("z", d) - point.with_last(U).compose(F.truncate(d))
+    point = _Point((Z, hermitian_conjugate(Z), U))
+    if (zv - point.compose(F), uv - point.compose(G)) != (Z, U):
         raise ValueError("reversion did not converge (non-invertible triple?)")
-    return Z, U
+    return (Z, U, *(point.compose(p) for p in pull))
 
 
 class FormalMap:

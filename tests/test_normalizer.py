@@ -1,5 +1,6 @@
 """Prenormalization, stage systems, solving, the full normalization loop."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from nfc.normalizer import (
     stage_system,
 )
 from nfc.families import gen_cd, gen_mm, gen_mmt, gen_quadric
+
+from conftest import Maker
 
 
 def surf(n, terms):
@@ -164,6 +167,27 @@ class TestSolveStage:
         assert not stages[2].gauge and not stages[3].gauge
 
 
+    def test_residuals_match_rational_recheck(self, make):
+        # the integer re-check gives the leftovers of the plain Fraction
+        # one, in condition order, on solved and resonant stages alike
+        extra = {(3, 2, 2): GaussianRational(1, 2), (2, 3, 2): GaussianRational(1, -2),
+                 (3, 3, 3): Fraction(1, 3), (4, 2, 3): I, (2, 4, 3): -I}
+        M = GraphSurface(gen_mm(1, 11).phi + Series3(11, extra))
+        cases = [(M, 2), (M, 3), (gen_mm(2, 11), 3), (make.class_surface(11, nterms=6), 2)]
+        seen = 0
+        for M, k in cases:
+            sys = stage_system(M, k)
+            sol = solve_stage(sys)
+            expected = []
+            for cond, row, b in zip(sys.conditions, sys.matrix, sys.rhs):
+                left = b - sum(x * sol.values[u] for x, u in zip(row, sys.unknowns))
+                if left != 0:
+                    expected.append((cond, left))
+            assert sol.residuals == expected
+            seen += len(expected)
+        assert seen >= 2
+
+
 class TestNormalize:
     def test_quadric_fixed_point(self):
         res = normalize(gen_quadric(12), 6)
@@ -305,3 +329,65 @@ class TestGroupAction:
             GroupElement(GaussianRational(2), Fraction(1))
         with pytest.raises(ValueError, match="nonzero"):
             GroupElement(ONE, Fraction(0))
+
+
+def _result_digests(res) -> dict:
+    """sha256 of the exact output of ``normalize``, one digest per part."""
+    def series_text(s):
+        return repr([(key, v.nre, v.nim, v.den) for key, v in s.sorted_terms()])
+    stages = [(st.k, st.status, st.gauge,
+               [(key, v.nre, v.nim, v.den) for key, v in st.residuals]) for st in res.stages]
+    texts = {
+        "normal_form": series_text(res.normal_form.phi),
+        "map.f": series_text(res.map.f),
+        "map.g": series_text(res.map.g),
+        "stages": repr(stages),
+    }
+    return {part: hashlib.sha256(t.encode()).hexdigest() for part, t in texts.items()}
+
+
+def _messy_surface(n):
+    return surf(n, {
+        (1, 1, 1): 1,
+        (2, 1, 1): Fraction(1, 2), (1, 2, 1): Fraction(1, 2),
+        (2, 2, 2): 3,
+        (3, 2, 2): Fraction(-1, 4), (2, 3, 2): Fraction(-1, 4),
+        (2, 2, 1): Fraction(1, 4),
+        (3, 3, 1): Fraction(-2, 3),
+        (1, 1, 4): 5,
+    })
+
+
+class TestBitIdentity:
+    """The exact output of ``normalize`` is pinned by digest.
+
+    Any change of arithmetic path (kernels, caching, evaluation order) must
+    leave every coefficient, every stage status and every gauge choice as it
+    is; these digests were recorded before the integer composition engine.
+    """
+
+    PINNED = {
+        "messy": (lambda: _messy_surface(11), 5, {
+            "normal_form": "c99439703ebae30cfc81e3eaad4e68f4e60929ac69f586cc03ead3547a70b7bb",
+            "map.f": "153a344263cc469cbe7e59c2c8f335cb31cc00b71ce0cd9aa21d184a9d578ee0",
+            "map.g": "4d32bc7f90de0e968a1cba4d7bd08be9fc88e75757c9d1df0732b71674e8c4e9",
+            "stages": "747c9765b78348b981798ec1b0d24b95c3b724b796fa7e82220721afdd30b1c7",
+        }),
+        "dense_seed1": (lambda: Maker(seed=1).class_surface(10, nterms=20, prenormalized=False), 4, {
+            "normal_form": "2a7519c1058250a8c7bcdd494ace8ec022ade85ae69d10f3fb21e7b019973de1",
+            "map.f": "308f407388e49015c454ec092d6bcff8ac6077904f3372d60bea8c341dd7e594",
+            "map.g": "3addb1d5488160cfea7896447df675b612dbe8f99c00012922334e958f919b05",
+            "stages": "c63b6db7a709d86fb72dcd5adcd0fcab90619f3c50f5ee643330045aea918028",
+        }),
+        "dense_seed4": (lambda: Maker(seed=4).class_surface(10, nterms=20, prenormalized=False), 4, {
+            "normal_form": "c4ca33390adf7dc353c3fdae5cde6025b708398bb6e42ec63043ff8896416fc1",
+            "map.f": "ec6eb314202e1161dd6b889502966cec84f016a80fe0ce9d8f432c77abcd46d5",
+            "map.g": "6be9043549330f8955cfa348f697775d6ad92fbf240ef663d9f6867c76d33f0c",
+            "stages": "c63b6db7a709d86fb72dcd5adcd0fcab90619f3c50f5ee643330045aea918028",
+        }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_normalize_output_digest(self, name):
+        build, K, expected = self.PINNED[name]
+        assert _result_digests(normalize(build(), K)) == expected

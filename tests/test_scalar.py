@@ -18,6 +18,9 @@ from nfc.scalar import (
     parse_rational,
     rational_str,
 )
+from nfc.families import gen_mm
+from nfc.normalizer import stage_system
+from nfc.resonance import KMatrix, det
 
 
 def kp(*coeffs):
@@ -92,6 +95,18 @@ class TestKPolyArith:
             q = KPoly([make.gaussian() for _ in range(make.rng.randint(1, 5))] + [ONE])
             assert (p * q).degree == p.degree + q.degree
             assert p * q == schoolbook_mul(p, q)
+
+
+    def test_compares_with_scalars(self):
+        assert KPoly() == 0 and 0 == KPoly()
+        assert KPoly.constant(3) == 3 and 3 == KPoly.constant(3)
+        assert KPoly.constant(Fraction(1, 2)) == Fraction(1, 2)
+        assert KPoly.constant(I) == I and KPoly.constant(I) != 1
+        assert kp(0, 1) != 0 and kp(3, 1) != 3
+        # a resonant stage block has determinant 0, read with == as well
+        block = stage_system(gen_mm(1, 11), 2).tagged_block()
+        assert det(KMatrix(block)) == 0
+        assert det(KMatrix(stage_system(gen_mm(1, 11), 4).tagged_block())) != 0
 
 
 class TestKPolyEval:

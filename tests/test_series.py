@@ -21,6 +21,7 @@ from nfc.series import (
     uni_compose,
     uni_function,
 )
+from nfc.series import _Point, _PowCache
 
 
 def S(n, terms):
@@ -335,6 +336,158 @@ class TestSubstituteCarriers:
         other = HoloSeries2 if kind is Series3 else Series3
         with pytest.raises(TypeError, match="one type"):
             substitute(HoloSeries2(n, {(1, 1): 1}), x, other.var("z", n))
+
+
+def substitute_reference(s, *repls):
+    """The former body of ``substitute``: GaussianRational assembly, one gcd per op.
+
+    Terms are grouped by every exponent but the last; the polynomial in the
+    last replacement is built by scalar multiples and adds of reduced
+    series, and is then multiplied by cached powers of the others.
+    """
+    n = s.n
+    kind = type(repls[0])
+    *heads, plast = [_PowCache(r) for r in repls]
+    groups: dict = {}
+    for key, v in s.terms.items():
+        groups.setdefault(key[:-1], []).append((key[-1], v))
+    one = (0,) * len(kind.VARS)
+    out = kind(n)
+    for prefix in sorted(groups):
+        poly = kind(n)
+        cst = ZERO
+        for e, v in groups[prefix]:
+            if e == 0:
+                cst = cst + v
+            else:
+                poly = poly + plast(e) * v
+        if not cst.is_zero():
+            poly = poly + kind(n, {one: cst})
+        if poly.is_zero():
+            continue
+        for pw, e in zip(heads, prefix):
+            if e:
+                poly = pw(e) * poly
+        out = out + poly
+    return out
+
+
+def real_point(make, n):
+    """(Z, conj Z, U) with U Hermitian: the points a reversion evaluates at."""
+    Z = var("z", n) + make.series3(n, 4, min_degree=1) * Fraction(1, 3)
+    U = var("u", n) + make.hermitian_series3(n, 4)
+    return Z, hermitian_conjugate(Z), U
+
+
+def huge(make):
+    """A Gaussian rational whose numerators and denominator exceed 2**64."""
+    return GaussianRational(Fraction(3 ** 45 * make.rng.randint(1, 9), 7 ** 27),
+                            Fraction(-(5 ** 30) * make.rng.randint(1, 9), 11 ** 20))
+
+
+class TestIntegerComposition:
+    """``substitute`` against ``substitute_reference`` on every kind of input.
+
+    Equal series can still differ in how a coefficient is stored, so both
+    ``==`` and the sorted (key, nre, nim, den) lists are compared.
+    """
+
+    @staticmethod
+    def check(s, *repls):
+        out, ref = substitute(s, *repls), substitute_reference(s, *repls)
+        assert type(out) is type(ref)
+        assert out == ref
+        stored = [(k, v.nre, v.nim, v.den) for k, v in out.sorted_terms()]
+        assert stored == [(k, v.nre, v.nim, v.den) for k, v in ref.sorted_terms()]
+        return out
+
+    def test_hermitian_at_real_point(self, make):
+        for i in range(10):
+            n = 5 + i % 4
+            s = make.hermitian_series3(n, 8, min_degree=1) + S(n, {(1, 1, 1): Fraction(2, 3)})
+            point = real_point(make, n)
+            assert is_hermitian(s) and _Point(point).real and any(a == b for a, b, _ in s.terms)
+            assert is_hermitian(self.check(s, *point))
+
+    def test_hermitian_at_non_real_point(self, make):
+        for i in range(10):
+            n = 5 + i % 4
+            s = make.hermitian_series3(n, 8, min_degree=1)
+            Z, Zc, U = real_point(make, n)
+            if i % 2:
+                Zc = Zc + S(n, {(0, 1, 1): I})                  # conj Z is not Zc
+            else:
+                U = U + S(n, {(2, 0, 0): GaussianRational(1, 1)})   # U is not Hermitian
+            assert not _Point((Z, Zc, U)).real
+            self.check(s, Z, Zc, U)
+
+    def test_non_hermitian(self, make):
+        for i in range(10):
+            n = 5 + i % 4
+            s = make.series3(n, 8) + S(n, {(2, 0, 1): I})
+            assert not is_hermitian(s)
+            self.check(s, *real_point(make, n))
+
+    def test_holo_into_series3_and_holo(self, make):
+        for i in range(10):
+            n = 4 + i % 5
+            h = holo_with_constant(make, n)
+            W = var("u", n) + make.hermitian_series3(n, 4) * I
+            self.check(h, var("z", n) + make.series3(n, 3, min_degree=2), W)
+            self.check(h, HoloSeries2.var("z", n) + make.holo2(n, 3),
+                       HoloSeries2.var("w", n) + make.holo2(n, 3))
+
+    def test_exact_cancellation(self):
+        n = 6
+        # within a group: U^2 - U loses its u^2 term for U = u + u^2
+        U = var("u", n) + S(n, {(0, 0, 2): 1})
+        out = self.check(S(n, {(0, 0, 2): 1, (0, 0, 1): -1}), var("z", n), var("zb", n), U)
+        assert out.coeff(0, 0, 2) == ZERO and out.coeff(0, 0, 1) == -ONE
+        # across groups: z - zb at Zc = Z
+        Z = var("z", n) + S(n, {(1, 0, 1): Fraction(1, 2)})
+        assert self.check(S(n, {(1, 0, 0): 1, (0, 1, 0): -1}), Z, Z, var("u", n)).is_zero()
+        # a group against its mirror: i z u - i zb u at the real point Z = z + zb
+        s = S(n, {(1, 0, 1): I, (0, 1, 1): -I})
+        Z = var("z", n) + var("zb", n)
+        assert is_hermitian(s) and _Point((Z, Z, var("u", n))).real
+        assert self.check(s, Z, Z, var("u", n)).is_zero()
+
+    def test_coefficients_above_2_64(self, make):
+        for i in range(4):
+            n = 5 + i % 2
+            s = make.hermitian_series3(n, 5, min_degree=1)
+            big = S(n, {(1, 2, 1): huge(make), (0, 1, 2): huge(make)})
+            s = s + big + hermitian_conjugate(big)
+            Z, Zc, U = real_point(make, n)
+            Z = Z + S(n, {(2, 0, 1): huge(make)})
+            Zc = hermitian_conjugate(Z)
+            U = U + S(n, {(1, 1, 0): GaussianRational(Fraction(3 ** 50, 2 ** 70))})
+            out = self.check(s, Z, Zc, U)
+            assert max(v.den for v in out.terms.values()) > 2 ** 64
+            self.check(s + S(n, {(3, 0, 0): huge(make)}), Z, Zc, U)
+
+    def test_zero_series(self, make):
+        n = 5
+        for s in (S(n, {}), HoloSeries2(n)):
+            repls = real_point(make, n)[: len(s.VARS)]
+            assert self.check(s, *repls).is_zero()
+
+    def test_pull_back_shares_the_reversion_point(self, make):
+        n = 7
+        for _ in range(4):
+            z1 = var("z", n) + make.series3(n, 3, min_degree=2)
+            u1 = var("u", n) + make.hermitian_series3(n, 3, min_degree=2)
+            v1 = make.hermitian_series3(n, 6)
+            p = make.series3(n, 5)
+            Z, U, v, q = invert_real_triple(z1, u1, v1, p)
+            assert (Z, U) == invert_real_triple(z1, u1)
+            Zc = hermitian_conjugate(Z)
+            assert v == substitute_reference(v1, Z, Zc, U)
+            assert q == substitute_reference(p, Z, Zc, U)
+        with pytest.raises(TypeError, match="pulled-back series must be Series3"):
+            invert_real_triple(z1, u1, HoloSeries2(n))
+        with pytest.raises(ValueError, match="mismatched truncation orders"):
+            invert_real_triple(z1, u1, S(n + 1, {}))
 
 
 class TestSharedCore:
