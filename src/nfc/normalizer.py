@@ -14,16 +14,18 @@ level k: every f-coefficient carries u-weight k-1 and lands in a slot worth
 at least one more power of u, every g-coefficient carries u-weight k, so any
 product of two unknowns lives at u-level > k.  The level-k block of the
 transform is therefore linear, and it is computed here from the first
-variation of the graph equation restricted to level k; the test suite
-re-derives selected columns by probing the genuine transform and checks the
-distinguished 9x9 block against the transcription in ``resonance``.
+variation of the graph equation restricted to level k.  Each unknown enters
+it as a z^l- or z-bar^l-shift of two base series per stage, so a column is
+read off, not multiplied out.  The test suite re-derives selected columns
+by probing the genuine transform and checks the distinguished 9x9 block
+against the transcription in ``resonance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .scalar import GaussianRational, ONE, I
 from .series import FormalMap, HoloSeries2, Series3, compose_maps
@@ -110,67 +112,6 @@ def _eliminate(rows, ncols: int):
     return pivots, dependent
 
 
-def _psi(M: GraphSurface, n2: int) -> Series3:
-    """u-linear part of phi, read as a series in (z, zb) at order n2."""
-    return Series3(n2, {(a, b, 0): v for (a, b, c), v in M.phi.terms.items() if c == 1})
-
-
-class _StageKernel:
-    """Per-stage data for the level-k first variation of the graph equation."""
-
-    def __init__(self, M: GraphSurface, k: int):
-        self.k = k
-        # one spare degree: psi is differentiated once before level-k products
-        n2 = M.n - k + 1
-        self.n2 = n2
-        psi = _psi(M, n2)
-        self.psi = psi
-        self.psi_z = psi.diff("z")
-        self.psi_zb = psi.diff("zb")
-        one = Series3(n2, {(0, 0, 0): ONE})
-        self.plus = [one]    # (1 + i psi)^j
-        self.minus = [one]   # (1 - i psi)^j
-        base_p = one + psi * I
-        base_m = one - psi * I
-        for _ in range(k):
-            self.plus.append(self.plus[-1] * base_p)
-            self.minus.append(self.minus[-1] * base_m)
-        self.zpow = {0: one}
-        self.zbpow = {0: one}
-
-    def _zp(self, l: int) -> Series3:
-        while l not in self.zpow:
-            m = max(self.zpow)
-            self.zpow[m + 1] = self.zpow[m] * Series3.var("z", self.n2)
-            self.zbpow[m + 1] = self.zbpow[m] * Series3.var("zb", self.n2)
-        return self.zpow[l]
-
-    def _zbp(self, l: int) -> Series3:
-        self._zp(l)
-        return self.zbpow[l]
-
-    def delta(self, kind: str, l: int, c: GaussianRational) -> Series3:
-        """Level-k coefficient change for the single-unknown map increment.
-
-        kind "f": f = c z^l w^(k-1); kind "g": g = c z^l w^k.  The returned
-        series in (z, zb) holds the (a, b) entries of the u^k level.
-        """
-        k = self.k
-        cc = c.conjugate()
-        if kind == "f":
-            left = self.psi_z * (self._zp(l) * self.plus[k - 1]) * (-c)
-            right = self.psi_zb * (self._zbp(l) * self.minus[k - 1]) * (-cc)
-            return left + right
-        if kind == "g":
-            A = self._zp(l) * self.plus[k] * c
-            Ab = self._zbp(l) * self.minus[k] * cc
-            half = GaussianRational(Fraction(1, 2))
-            im_part = (A - Ab) * (half / I)
-            re_part = (A + Ab) * half
-            return im_part - self.psi * re_part
-        raise ValueError(f"unknown kind {kind!r}")
-
-
 def _condition_list(k: int, lf: int, lg: int) -> list:
     conds = [(0, 0, "re")]
     for a in range(2, lg + 1):
@@ -195,8 +136,31 @@ def _unknown_list(lf: int, lg: int) -> list:
     return unknowns
 
 
+def _stage_bases(M: GraphSurface, k: int, m: int) -> tuple:
+    """(B_f, B_g) at order m, with psi the u-linear part of phi:
+
+        B_f = -psi_z (1 + i psi)^(k-1),   B_g = -(i + psi) (1 + i psi)^k / 2.
+    """
+    psi = Series3(m + 1, {(a, b, 0): v for (a, b, c), v in M.phi.terms.items() if c == 1})
+    psi_z, psi = psi.diff("z").truncate(m), psi.truncate(m)
+    step = psi * I + ONE
+    power = step
+    for _ in range(k - 2):
+        power = power * step
+    return -(psi_z * power), power * step * ((psi + I) * Fraction(-1, 2))
+
+
 def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
-    """Assemble the exact affine stage-k system for the current surface."""
+    """Assemble the exact affine stage-k system for the current surface.
+
+    The level-k change made by f = c z^l w^(k-1) or g = c z^l w^k is
+    W + conj(W), with W the z^l-shift of c B_f or c B_g (``_stage_bases``)
+    and conj(W) its Hermitian conjugate, a z-bar^l-shift.  So every column
+    is read off two base series per stage, visiting only the base terms
+    that land on a condition slot.  Every factor of a base has degree >= 0,
+    so truncating it at the top condition degree N - k and then shifting
+    keeps exactly the terms that truncating inside each product would.
+    """
     n = M_current.n
     if not 2 <= k <= n - 6:
         raise ValueError(f"stage index k={k} out of range [2, {n - 6}]")
@@ -206,17 +170,38 @@ def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
     lf, lg = n - 1 - k, n - k
     conditions = _condition_list(k, lf, lg)
     unknowns = _unknown_list(lf, lg)
-    kernel = _StageKernel(M_current, k)
-    columns = []
-    for kind, l, part in unknowns:
-        c = ONE if part == "re" else I
-        d = kernel.delta(kind, l, c)
-        col = []
-        for a, b, cpart in conditions:
-            v = d.coeff(a, b, 0)
-            col.append(v.re if cpart == "re" else v.im)
-        columns.append(col)
-    rows = [[columns[j][i] for j in range(len(unknowns))] for i in range(len(conditions))]
+    rows_at, cols_at = {}, {}
+    for i, (a, b, part) in enumerate(conditions):
+        rows_at.setdefault((a, b), [None, None])[part == "im"] = i
+    for j, (kind, l, part) in enumerate(unknowns):
+        cols_at.setdefault((kind, l), [None, None])[part == "im"] = j
+    # integer entries, each column over the common denominator of its base
+    ints = [[0] * len(unknowns) for _ in conditions]
+    den = {}
+    # a term lands on a slot (a, b) only if q <= b, or p <= b for its mirror
+    reach = max(b for _, b, _ in conditions)
+    for kind, top, base in zip("fg", (lf, lg), _stage_bases(M_current, k, lg)):
+        D = den[kind] = lcm(*(v.den for v in base.terms.values()))
+        for (p, q, _), v in base.terms.items():
+            if min(p, q) > reach:
+                continue
+            x, y = v.nre * (D // v.den), v.nim * (D // v.den)
+            for l in range(top + 1):
+                re_col, im_col = cols_at[kind, l]
+                # c = 1 and c = i at (p + l, q); their conjugates at (q, p + l)
+                for slot, s in ((rows_at.get((p + l, q)), 1), (rows_at.get((q, p + l)), -1)):
+                    if slot is None:
+                        continue
+                    re_row, im_row = slot
+                    if re_row is not None:
+                        ints[re_row][re_col] += x
+                        ints[re_row][im_col] -= y
+                    if im_row is not None:
+                        ints[im_row][re_col] += s * y
+                        ints[im_row][im_col] += s * x
+    zero = Fraction(0)
+    dens = [den[kind] for kind, _, _ in unknowns]
+    rows = [[Fraction(x, d) if x else zero for x, d in zip(row, dens)] for row in ints]
     rhs = []
     for a, b, cpart in conditions:
         v = M_current.phi.coeff(a, b, k)
@@ -265,11 +250,12 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     """Exact solve by fraction-free elimination over the integers.
 
     The rows are reduced in condition order by ``_eliminate``, and the
-    values come from back-substitution in ``Fraction``.  Nonsingular systems
-    give the unique solution.  Singular ones: under "strict" raise, naming
-    the stage as resonant; under "gauge_zero" the free variables (the
-    non-pivot columns) are set to zero, inconsistent target equations are
-    dropped and their leftover values recorded.
+    values come from back-substitution on the integer pivot rows over one
+    common denominator.  Nonsingular systems give the unique solution.
+    Singular ones: under "strict" raise, naming the stage as resonant; under
+    "gauge_zero" the free variables (the non-pivot columns) are set to zero,
+    inconsistent target equations are dropped and their leftover values
+    recorded.
     """
     if policy not in ("strict", "gauge_zero"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -283,14 +269,26 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     if singular and policy == "strict":
         raise ValueError(f"stage k={sys.k} is resonant: singular normalization system")
     # free variables pinned to zero; a pivot row vanishes at the pivot
-    # columns found before it, so back-substitution runs from the last one
-    values = [Fraction(0)] * ncols
+    # columns found before it, so back-substitution runs from the last one,
+    # on integers: scaled holds (j, x) with value j = x / D, and D grows by lcm
+    D, scaled = 1, []
     for col, r in reversed(pivots):
-        values[col] = Fraction(r[ncols] - sum(x * v for x, v in zip(r, values) if v), r[col])
+        t = r[ncols] * D - sum(r[j] * x for j, x in scaled)
+        if not t:
+            continue
+        d = D * r[col]
+        g = gcd(t, d) if d > 0 else -gcd(t, d)     # keeps d // g positive
+        t, d = t // g, d // g
+        grow = d // gcd(D, d)
+        if grow > 1:
+            D *= grow
+            scaled = [(j, x * grow) for j, x in scaled]
+        scaled.append((col, t * (D // d)))
+    values = [Fraction(0)] * ncols
+    for j, x in scaled:
+        values[j] = Fraction(x, D)
     # re-check every equation on the cleared integer rows, against the
-    # solution over one common denominator D, and collect leftover targets
-    D = lcm(*(v.denominator for v in values))
-    scaled = [(j, v.numerator * (D // v.denominator)) for j, v in enumerate(values) if v]
+    # solution over D, and collect leftover targets
     residuals = []
     for cond, (scale, r) in zip(sys.conditions, cleared):
         t = r[ncols] * D - sum(r[j] * x for j, x in scaled)

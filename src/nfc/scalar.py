@@ -156,6 +156,9 @@ class GaussianRational:
         return self.nre == other.nre and self.nim == other.nim and self.den == other.den
 
     def __hash__(self):
+        # a real value hashes as the Fraction (or int) it equals
+        if self.nim == 0:
+            return hash(Fraction(self.nre, self.den))
         return hash((self.nre, self.nim, self.den))
 
     def __bool__(self) -> bool:
@@ -306,6 +309,9 @@ class KPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant hashes as the scalar it equals
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0]) if self.coeffs else hash(0)
         return hash(self.coeffs)
 
     def real_imag_parts(self) -> tuple["KPoly", "KPoly"]:

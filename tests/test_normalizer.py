@@ -9,10 +9,18 @@ from nfc.scalar import GaussianRational, I, ONE, ZERO
 from nfc.series import FormalMap, HoloSeries2, Series3
 from nfc.surface import GraphSurface, check_normal_form, jet7, map_defect, transform
 from nfc.resonance import KMatrix, char_poly, det, matrix_A
+import nfc.normalizer
+import nfc.series
 from nfc.normalizer import (
     GroupElement,
+    StageSolution,
+    StageSystem,
     TAGGED_CONDITIONS,
     TAGGED_UNKNOWNS,
+    _cleared,
+    _condition_list,
+    _eliminate,
+    _unknown_list,
     apply_group_action,
     genuine_probe_column,
     normalize,
@@ -107,6 +115,140 @@ class TestStageSystem:
             row = sys.conditions.index((1, 1, "re"))
             col = sys.unknowns.index(("g", 0, "re"))
             assert sys.matrix[row][col] == k - 1
+
+
+def stage_system_reference(M, k):
+    """The stage system assembled one unknown at a time, 2 to 4 products per column.
+
+    The first variation of the graph equation at level k, written out per
+    unknown with the (1 - i psi) powers multiplied out; kept as the oracle
+    of ``stage_system``.
+    """
+    n = M.n
+    n2 = n - k + 1
+    psi = Series3(n2, {(a, b, 0): v for (a, b, c), v in M.phi.terms.items() if c == 1})
+    psi_z, psi_zb = psi.diff("z"), psi.diff("zb")
+    one = Series3(n2, {(0, 0, 0): ONE})
+    plus, minus = [one], [one]     # (1 + i psi)^j, (1 - i psi)^j
+    for _ in range(k):
+        plus.append(plus[-1] * (one + psi * I))
+        minus.append(minus[-1] * (one - psi * I))
+    zpow, zbpow = [one], [one]
+    for _ in range(n2):
+        zpow.append(zpow[-1] * Series3.var("z", n2))
+        zbpow.append(zbpow[-1] * Series3.var("zb", n2))
+    half = GaussianRational(Fraction(1, 2))
+
+    def delta(kind, l, c):
+        cc = c.conjugate()
+        if kind == "f":
+            left = psi_z * (zpow[l] * plus[k - 1]) * (-c)
+            right = psi_zb * (zbpow[l] * minus[k - 1]) * (-cc)
+            return left + right
+        A = zpow[l] * plus[k] * c
+        Ab = zbpow[l] * minus[k] * cc
+        return (A - Ab) * (half / I) - psi * ((A + Ab) * half)
+
+    lf, lg = n - 1 - k, n - k
+    conditions = _condition_list(k, lf, lg)
+    unknowns = _unknown_list(lf, lg)
+    columns = []
+    for kind, l, part in unknowns:
+        d = delta(kind, l, ONE if part == "re" else I)
+        columns.append([d.coeff(a, b, 0).re if cpart == "re" else d.coeff(a, b, 0).im
+                        for a, b, cpart in conditions])
+    rows = [[col[i] for col in columns] for i in range(len(conditions))]
+    rhs = []
+    for a, b, cpart in conditions:
+        v = M.phi.coeff(a, b, k)
+        rhs.append(-(v.re if cpart == "re" else v.im))
+    return StageSystem(
+        k=k, order=n, unknowns=unknowns, conditions=conditions, matrix=rows, rhs=rhs,
+        tagged_rows=[conditions.index(c) for c in TAGGED_CONDITIONS],
+        tagged_cols=[unknowns.index(u) for u in TAGGED_UNKNOWNS],
+    )
+
+
+def solve_stage_reference(sys):
+    """``solve_stage`` under gauge_zero, with the back-substitution in Fraction."""
+    ncols = len(sys.unknowns)
+    cleared = [_cleared(row + [b]) for row, b in zip(sys.matrix, sys.rhs)]
+    pivots, dependent = _eliminate([r for _, r in cleared], ncols)
+    dropped = [sys.conditions[i] for i, r in dependent if r[ncols]]
+    pivot_cols = {col for col, _ in pivots}
+    free = [u for j, u in enumerate(sys.unknowns) if j not in pivot_cols]
+    values = [Fraction(0)] * ncols
+    for col, r in reversed(pivots):
+        values[col] = Fraction(r[ncols] - sum(x * v for x, v in zip(r, values) if v), r[col])
+    residuals = []
+    for cond, row, b in zip(sys.conditions, sys.matrix, sys.rhs):
+        left = b - sum(x * v for x, v in zip(row, values))
+        if left:
+            residuals.append((cond, left))
+    return StageSolution(
+        k=sys.k, status="resonant" if free or dropped else "solved",
+        values=dict(zip(sys.unknowns, values)), free=free, dropped=dropped,
+        residuals=residuals,
+    )
+
+
+def _messy_stage_surfaces():
+    """The current surface at each stage of normalize on the messy surface, N = 11."""
+    seen = []
+    real = nfc.normalizer.stage_system
+
+    def record(M, k):
+        seen.append(M)
+        return real(M, k)
+
+    nfc.normalizer.stage_system = record
+    try:
+        normalize(_messy_surface(11), 5)
+    finally:
+        nfc.normalizer.stage_system = real
+    return seen
+
+
+class TestStageAssembly:
+    """``stage_system`` and ``solve_stage`` against the per-unknown references."""
+
+    SURFACES = {
+        "quadric(12)": lambda: [gen_quadric(12)],
+        "mm(1, 12)": lambda: [gen_mm(1, 12)],
+        "mm(2, 14)": lambda: [gen_mm(2, 14)],
+        "mmt(2, 1, 12)": lambda: [gen_mmt(2, 1, 12)],
+        "cd(0, -24, 12)": lambda: [gen_cd(0, -24, 12)],
+        "cd(3, -7, 12)": lambda: [gen_cd(3, -7, 12)],
+        "maker(11)": lambda: [Maker(seed=s).class_surface(11, nterms=8) for s in (3, 17, 2024)],
+        "messy stages": _messy_stage_surfaces,
+    }
+
+    @pytest.mark.parametrize("name", list(SURFACES))
+    def test_matches_reference(self, name):
+        for M in self.SURFACES[name]():
+            for k in range(2, M.n - 5):
+                sys = stage_system(M, k)
+                assert sys == stage_system_reference(M, k), (name, k)
+                assert solve_stage(sys) == solve_stage_reference(sys), (name, k)
+
+    def test_products_per_stage_do_not_grow_with_order(self, monkeypatch):
+        # columns are shifts of a few base series: one stage costs the same
+        # number of series products at any truncation order
+        calls = []
+        kernel = nfc.series._mul_kernel
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(nfc.series, "_mul_kernel", counted)
+        for k in (2, 4, 6):
+            counts = []
+            for n in (12, 18):
+                calls.clear()
+                stage_system(gen_cd(0, -24, n), k)
+                counts.append(len(calls))
+            assert counts[0] == counts[1] and counts[0] <= k + 2, (k, counts)
 
 
 class TestSolveStage:

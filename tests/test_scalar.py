@@ -108,6 +108,16 @@ class TestKPolyArith:
         assert det(KMatrix(block)) == 0
         assert det(KMatrix(stage_system(gen_mm(1, 11), 4).tagged_block())) != 0
 
+    def test_hash_agrees_with_eq(self):
+        # values that compare equal must collapse in a set
+        assert len({GaussianRational(3), 3}) == 1
+        assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert len({GaussianRational(Fraction(-7, 3)), Fraction(-7, 3)}) == 1
+        assert len({KPoly.constant(3), 3}) == 1
+        assert len({KPoly(), 0, ZERO}) == 1
+        assert len({KPoly.constant(Fraction(1, 2)), GaussianRational(Fraction(1, 2))}) == 1
+        assert len({GaussianRational(1, 2), GaussianRational(1, -2), kp(1, 1)}) == 3
+
 
 class TestKPolyEval:
     def test_simple(self):
