@@ -5,6 +5,14 @@ polynomial expression language in z, zb, u; reports are deterministic JSON
 (or plain text) with every number serialized exactly.  Exit status: 0 on
 success, 1 on domain errors (class violations, resonant stage under
 --policy strict), 2 on usage or parse errors.
+
+A spec lists a series as items: {a, b, c, re, im} for the surface, {l, k,
+re, im} for the map components f, g and the field components Xz, Xw; re and
+im are rational literals and default to 0; an exponent key listed twice in
+one series takes the coefficient of its last item.  Every nonzero monomial,
+listed or expanded from an expression, must have total degree at most the
+truncation order N; a monomial above N is a parse error (exit 2) that names
+it, never a silent drop.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -48,16 +57,19 @@ class ParseError(ValueError):
 # expression language: polynomials in z, zb, u with rational literals,
 # the imaginary unit i, operators + - * ^ and parentheses.
 
-_VARS = {"z": (1, 0, 0), "zb": (0, 1, 0), "u": (0, 0, 1)}
-
 
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.toks = []
         self._lex()
         self.idx = 0
+        # The parse is exact at this order: a variable token adds to the
+        # degree of a monomial at most the product of the exponents applied
+        # to it, which is at most the product of all exponent literals > 1.
+        self.order = sum(tok[0] == "var" for tok in self.toks) * math.prod(
+            int(tok[1]) for prev, tok in zip(self.toks, self.toks[1:])
+            if prev[0] == "^" and tok[0] == "num" and tok[1].denominator == 1 and tok[1] > 1)
 
     def _lex(self):
         text, i, n = self.text, 0, len(self.text)
@@ -97,7 +109,7 @@ class _Tokens:
                 name = text[start:i]
                 if name == "i":
                     self.toks.append(("imag", None, start))
-                elif name in _VARS:
+                elif name in Series3.VARS:
                     self.toks.append(("var", name, start))
                 else:
                     raise ParseError(f"column {start + 1}: unknown symbol {name!r}")
@@ -120,57 +132,24 @@ class _Tokens:
         return tok
 
 
-class _Poly(dict):
-    """Unbounded sparse polynomial {(a,b,c): GaussianRational} used during parsing."""
-
-    def add(self, key, val):
-        cur = self.get(key, ZERO) + val
-        if cur.is_zero():
-            self.pop(key, None)
-        else:
-            self[key] = cur
-
-
-def _poly_scale(p: _Poly, c) -> _Poly:
-    out = _Poly()
-    for k, v in p.items():
-        out.add(k, v * c)
-    return out
-
-
-def _poly_add(p: _Poly, q: _Poly, sign=1) -> _Poly:
-    out = _Poly(p)
-    for k, v in q.items():
-        out.add(k, v if sign > 0 else -v)
-    return out
-
-
-def _poly_mul(p: _Poly, q: _Poly) -> _Poly:
-    out = _Poly()
-    for (a1, b1, c1), v1 in p.items():
-        for (a2, b2, c2), v2 in q.items():
-            out.add((a1 + a2, b1 + b2, c1 + c2), v1 * v2)
-    return out
-
-
-def _parse_expr(toks: _Tokens) -> _Poly:
+def _parse_expr(toks: _Tokens) -> Series3:
     acc = _parse_term(toks)
     while toks.peek()[0] in ("+", "-"):
         op = toks.take()[0]
         rhs = _parse_term(toks)
-        acc = _poly_add(acc, rhs, 1 if op == "+" else -1)
+        acc = acc + rhs if op == "+" else acc - rhs
     return acc
 
 
-def _parse_term(toks: _Tokens) -> _Poly:
+def _parse_term(toks: _Tokens) -> Series3:
     acc = _parse_factor(toks)
     while toks.peek()[0] == "*":
         toks.take()
-        acc = _poly_mul(acc, _parse_factor(toks))
+        acc = acc * _parse_factor(toks)
     return acc
 
 
-def _parse_factor(toks: _Tokens) -> _Poly:
+def _parse_factor(toks: _Tokens) -> Series3:
     base = _parse_atom(toks)
     while toks.peek()[0] == "^":
         toks.take()
@@ -178,24 +157,24 @@ def _parse_factor(toks: _Tokens) -> _Poly:
         e = tok[1]
         if e.denominator != 1 or e < 0:
             raise ParseError(f"column {tok[2] + 1}: exponent must be a non-negative integer")
-        out = _Poly({(0, 0, 0): ONE})
+        out = Series3(toks.order, {(0, 0, 0): ONE})
         for _ in range(int(e)):
-            out = _poly_mul(out, base)
+            out = out * base
         base = out
     return base
 
 
-def _parse_atom(toks: _Tokens) -> _Poly:
+def _parse_atom(toks: _Tokens) -> Series3:
     kind, val, pos = toks.peek()
     if kind == "num":
         toks.take()
-        return _Poly({(0, 0, 0): GaussianRational(val)})
+        return Series3(toks.order, {(0, 0, 0): val})
     if kind == "imag":
         toks.take()
-        return _Poly({(0, 0, 0): I})
+        return Series3(toks.order, {(0, 0, 0): I})
     if kind == "var":
         toks.take()
-        return _Poly({_VARS[val]: ONE})
+        return Series3.var(val, toks.order)
     if kind == "(":
         toks.take()
         inner = _parse_expr(toks)
@@ -203,7 +182,7 @@ def _parse_atom(toks: _Tokens) -> _Poly:
         return inner
     if kind == "-":
         toks.take()
-        return _poly_scale(_parse_atom(toks), GaussianRational(-1))
+        return -_parse_atom(toks)
     if kind == "+":
         toks.take()
         return _parse_atom(toks)
@@ -213,9 +192,9 @@ def _parse_atom(toks: _Tokens) -> _Poly:
 def parse_expression(text: str) -> dict:
     """Parse the expression language into a coefficient map (a,b,c) -> value."""
     toks = _Tokens(text)
-    poly = _parse_expr(toks)
+    series = _parse_expr(toks)
     toks.take("end")
-    return dict(poly)
+    return dict(series.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -245,25 +224,52 @@ def _coefficient(item: dict) -> GaussianRational:
                             _literal(item.get("im", "0"), "im"))
 
 
-def _holo_side(items, order: int, what: str) -> HoloSeries2:
-    """A HoloSeries2 from the {l, k, re, im} items of a map or field spec."""
+#: the exponent keys of a spec item, one per variable of the series type
+_ITEM_KEYS = {Series3: "abc", HoloSeries2: "lk"}
+
+
+def _monomial(key: tuple, names: tuple) -> str:
+    return "*".join(f"{v}^{e}" for v, e in zip(names, key))
+
+
+def _check_degree(key: tuple, order: int, names: tuple):
+    """Reject a monomial above the truncation order, naming it."""
+    if sum(key) > order:
+        raise ParseError(f"monomial {_monomial(key, names)} exceeds the truncation order {order}")
+
+
+def _read_items(items, cls, order: int, what: str) -> dict:
+    """The nonzero coefficients of the spec items of one series of type cls.
+
+    An item names the exponents of cls ({a, b, c} for Series3, {l, k} for
+    HoloSeries2) and a coefficient re + i*im.  A key listed twice takes the
+    coefficient of its last item, zero or not; a nonzero coefficient above
+    the order is an error.
+    """
+    if not isinstance(items, list):
+        raise ParseError(f"{what} must be a list of items")
     terms = {}
-    try:
-        for item in items:
-            key = tuple(_count(item[e], e) for e in "lk")
-            val = _coefficient(item)
-            if not val.is_zero():
-                terms[key] = val
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad {what} spec: {exc}") from exc
-    return HoloSeries2(order, terms)
+    for item in items:
+        try:
+            terms[tuple(_count(item[e], e) for e in _ITEM_KEYS[cls])] = _coefficient(item)
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"bad {what} item {item!r}") from exc
+    terms = {key: val for key, val in terms.items() if not val.is_zero()}
+    for key in terms:
+        _check_degree(key, order, cls.VARS)
+    return terms
+
+
+def _holo_side(obj: dict, side: str, order: int) -> HoloSeries2:
+    """The HoloSeries2 of the items listed under obj[side]; zero when absent."""
+    return HoloSeries2(order, _read_items(obj.get(side, []), HoloSeries2, order, side))
 
 
 def _hermitian_check(terms: dict):
     for (a, b, c), v in terms.items():
         if terms.get((b, a, c), ZERO) != v.conjugate():
-            raise ParseError(
-                f"not Hermitian: monomial z^{a}*zb^{b}*u^{c} has no conjugate partner")
+            raise ParseError(f"not Hermitian: monomial {_monomial((a, b, c), Series3.VARS)}"
+                             " has no conjugate partner")
 
 
 def surface_spec_to_obj(spec) -> dict:
@@ -274,10 +280,7 @@ def surface_spec_to_obj(spec) -> dict:
         out["family"] = {k: (v if isinstance(v, (str, int)) else rational_str(v))
                          for k, v in fam.items()}
     elif "series" in spec:
-        out["series"] = [
-            {"a": a, "b": b, "c": c, **gaussian_to_obj(v)}
-            for (a, b, c), v in sorted(spec["series"].items())
-        ]
+        out["series"] = [_term_obj(key, v) for key, v in sorted(spec["series"].items())]
     elif "expr" in spec:
         out["expr"] = spec["expr"]
     return out
@@ -306,22 +309,13 @@ def parse_surface_spec(obj, default_order: int = DEFAULT_ORDER) -> dict:
                 raise ParseError(f"family {name!r} needs the parameter {key}")
         return {"order": order, "family": {"name": name, **params}}
     if kind == "series":
-        terms = {}
-        for item in obj["series"]:
-            try:
-                key = tuple(_count(item[e], e) for e in "abc")
-                val = _coefficient(item)
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"bad series item {item!r}") from exc
-            if not val.is_zero():
-                terms[key] = val
+        terms = _read_items(obj["series"], Series3, order, "series")
         _hermitian_check(terms)
         return {"order": order, "series": terms}
     text = obj["expr"]
     terms = parse_expression(text)
-    for (a, b, c) in terms:
-        if a + b + c > order:
-            raise ParseError(f"monomial z^{a}*zb^{b}*u^{c} exceeds the truncation order {order}")
+    for key in sorted(terms):
+        _check_degree(key, order, Series3.VARS)
     _hermitian_check(terms)
     return {"order": order, "expr": text, "series": terms}
 
@@ -344,8 +338,7 @@ def parse_map_spec(obj, order: int) -> FormalMap:
         m = _literal(obj.get("m", 1), "m", integer=True)
         t = _literal(obj.get("t", "1"), "t")
         return gen_Ht(m, t, order)
-    return FormalMap(_holo_side(obj.get("f", []), order, "map"),
-                     _holo_side(obj.get("g", []), order, "map"))
+    return FormalMap(_holo_side(obj, "f", order), _holo_side(obj, "g", order))
 
 
 def parse_field_spec(obj, order: int):
@@ -357,31 +350,34 @@ def parse_field_spec(obj, order: int):
         m = _literal(obj.get("m", 1), "m", integer=True)
         T = _literal(obj.get("T", "1"), "T")
         return gen_X(m, T, order)
-    return (_holo_side(obj.get("Xz", []), order, "field"),
-            _holo_side(obj.get("Xw", []), order, "field"))
+    return _holo_side(obj, "Xz", order), _holo_side(obj, "Xw", order)
 
 
 # ---------------------------------------------------------------------------
 # reports
 
 
+def _term_obj(key: tuple, val) -> dict:
+    """The wire form of one monomial of a Series3: {a, b, c, re, im}."""
+    a, b, c = key
+    return {"a": a, "b": b, "c": c, **gaussian_to_obj(val)}
+
+
 def _series_obj(s: Series3, cutoff: int) -> list:
-    return [
-        {"a": a, "b": b, "c": c, **gaussian_to_obj(v)}
-        for (a, b, c), v in s.sorted_terms()
-        if a + b + c <= cutoff
-    ]
+    return [_term_obj(key, v) for key, v in s.sorted_terms() if sum(key) <= cutoff]
 
 
 def _kpoly_obj(p) -> list:
     return [gaussian_to_obj(c) for c in p.coeffs]
 
 
-def _first_nonzero(s: Series3):
-    if s.is_zero():
-        return None
-    key = min(s.terms, key=lambda k: (sum(k), k))
-    return {"a": key[0], "b": key[1], "c": key[2], **gaussian_to_obj(s.terms[key])}
+def _defect_payload(defect: Series3) -> dict:
+    """Whether a defect series vanishes, and its lowest nonzero monomial if not."""
+    first = None
+    if not defect.is_zero():
+        key = min(defect.terms, key=lambda k: (sum(k), k))
+        first = _term_obj(key, defect.terms[key])
+    return {"defect_zero": defect.is_zero(), "order": defect.n, "first_nonzero": first}
 
 
 def make_report(command: list, payload: dict, digest_src) -> dict:
@@ -429,22 +425,25 @@ def emit(report: dict, fmt: str) -> str:
 # commands
 
 
+def _load_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _resolve_surface(args) -> tuple[dict, GraphSurface]:
-    order = args.order_total
     if args.surface:
-        with open(args.surface) as fh:
-            raw = json.load(fh)
-        spec = parse_surface_spec(raw, default_order=order)
+        raw = _load_json(args.surface)
     elif args.family:
         fam = {"name": args.family}
         for key in ("m", "T", "C", "D"):
             if getattr(args, key) is not None:
                 fam[key] = getattr(args, key)
-        spec = parse_surface_spec({"order": order, "family": fam}, default_order=order)
+        raw = {"family": fam}
     elif args.expr:
-        spec = parse_surface_spec({"order": order, "expr": args.expr}, default_order=order)
+        raw = {"expr": args.expr}
     else:
         raise ParseError("no surface given: use --surface, --family or --expr")
+    spec = parse_surface_spec(raw, default_order=args.order_total)
     return spec, build_surface(spec)
 
 
@@ -455,15 +454,13 @@ def _resolve_map(args, order: int) -> tuple[dict, FormalMap]:
         raw = {"builtin": "ht", "m": args.m if args.m is not None else 1,
                "t": args.t if args.t is not None else "1"}
     else:
-        with open(args.map) as fh:
-            raw = json.load(fh)
+        raw = _load_json(args.map)
     return raw, parse_map_spec(raw, order)
 
 
 def _resolve_field(args, order: int):
     if args.field:
-        with open(args.field) as fh:
-            raw = json.load(fh)
+        raw = _load_json(args.field)
     else:
         raw = {"builtin": "mmt", "m": args.m if args.m is not None else 1,
                "T": args.T if args.T is not None else "1"}
@@ -513,10 +510,7 @@ def cmd_normalize(args) -> dict:
             {
                 "k": s.k,
                 "status": s.status,
-                "residuals": [
-                    {"a": a, "b": b, "c": c, **gaussian_to_obj(v)}
-                    for (a, b, c), v in s.residuals
-                ],
+                "residuals": [_term_obj(key, v) for key, v in s.residuals],
                 "gauge": ["".join(map(str, lab)) for lab in s.gauge],
             }
             for s in result.stages
@@ -548,31 +542,19 @@ def cmd_verify_map(args) -> dict:
     spec, M = _resolve_surface(args)
     raw_map, m = _resolve_map(args, M.n)
     if args.target:
-        with open(args.target) as fh:
-            traw = json.load(fh)
-        tspec = parse_surface_spec(traw, default_order=M.n)
+        tspec = parse_surface_spec(_load_json(args.target), default_order=M.n)
         Mt = build_surface(tspec)
         tobj = surface_spec_to_obj(tspec)
     else:
         Mt, tobj = M, None
-    defect = map_defect(M, m, Mt)
-    payload = {
-        "defect_zero": defect.is_zero(),
-        "order": M.n,
-        "first_nonzero": _first_nonzero(defect),
-    }
+    payload = _defect_payload(map_defect(M, m, Mt))
     return make_report(args.echo, payload, [surface_spec_to_obj(spec), raw_map, tobj])
 
 
 def cmd_verify_field(args) -> dict:
     spec, M = _resolve_surface(args)
     raw_field, (Xz, Xw) = _resolve_field(args, M.n)
-    defect = infinitesimal_defect(M, Xz, Xw)
-    payload = {
-        "defect_zero": defect.is_zero(),
-        "order": M.n,
-        "first_nonzero": _first_nonzero(defect),
-    }
+    payload = _defect_payload(infinitesimal_defect(M, Xz, Xw))
     return make_report(args.echo, payload, [surface_spec_to_obj(spec), raw_field])
 
 

@@ -89,7 +89,10 @@ class GaussianRational:
         return GaussianRational._raw(-self.nre, -self.nim, self.den)
 
     def __add__(self, other) -> "GaussianRational":
-        other = as_gaussian(other)
+        try:
+            other = as_gaussian(other)
+        except TypeError:
+            return NotImplemented
         return GaussianRational._raw(
             self.nre * other.den + other.nre * self.den,
             self.nim * other.den + other.nim * self.den,
@@ -99,7 +102,10 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussianRational":
-        other = as_gaussian(other)
+        try:
+            other = as_gaussian(other)
+        except TypeError:
+            return NotImplemented
         return GaussianRational._raw(
             self.nre * other.den - other.nre * self.den,
             self.nim * other.den - other.nim * self.den,
@@ -110,7 +116,10 @@ class GaussianRational:
         return as_gaussian(other).__sub__(self)
 
     def __mul__(self, other) -> "GaussianRational":
-        other = as_gaussian(other)
+        try:
+            other = as_gaussian(other)
+        except TypeError:
+            return NotImplemented
         return GaussianRational._raw(
             self.nre * other.nre - self.nim * other.nim,
             self.nre * other.nim + self.nim * other.nre,
@@ -120,7 +129,10 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussianRational":
-        other = as_gaussian(other)
+        try:
+            other = as_gaussian(other)
+        except TypeError:
+            return NotImplemented
         n2 = other.nre * other.nre + other.nim * other.nim
         if n2 == 0:
             raise ZeroDivisionError("division by zero GaussianRational")

@@ -221,8 +221,13 @@ class _SparseSeries:
                 out[key] = s
         return self._make(self.n, out)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
 
     def __neg__(self):
         return self._make(self.n, {k: -v for k, v in self.terms.items()})

@@ -1,16 +1,20 @@
 """CLI: expression parsing, spec files, commands, determinism, exit codes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from nfc.scalar import GaussianRational, I, ONE
+from nfc.series import HoloSeries2
 from nfc.cli import (
     ParseError,
     build_surface,
     main,
     parse_expression,
+    parse_field_spec,
+    parse_map_spec,
     parse_surface_spec,
     surface_spec_to_obj,
 )
@@ -53,6 +57,14 @@ class TestExpressionParser:
             parse_expression("z^1/2")
         with pytest.raises(ParseError, match="expected 'num'"):
             parse_expression("z^(2)")
+
+
+def test_nested_powers_expand_in_full():
+    # the parse order is read off the tokens, so nothing is truncated, and no
+    # zero coefficient is kept
+    assert parse_expression("((z*zb)^2)^3*u") == {(6, 6, 1): ONE}
+    assert parse_expression("((z*zb + u)^2)^3 - (z*zb + u)^6") == {}
+    assert parse_expression("0") == {}
 
 
 class TestSurfaceSpec:
@@ -206,8 +218,9 @@ class TestCommands:
 
 
 #: (argv, spec files) that are malformed: a bad literal, a negative exponent
-#: or order, or an unknown family or a missing family parameter; "{name}" in
-#: argv is the path of the spec file written from files[name]
+#: or order, an unknown family or a missing family parameter, a nonzero item
+#: above the order, or items not given as a list; "{name}" in argv is the
+#: path of the spec file written from files[name]
 MALFORMED_LITERALS = {
     "map exponent": (["verify-map", "--family", "mm", "--m", "1", "--order-total", "9",
                       "--map", "{map}"],
@@ -246,6 +259,18 @@ MALFORMED_LITERALS = {
     "negative surface order": (["charpoly", "--surface", "{surface}"],
                                {"surface": {"order": -3, "series": [
                                    {"a": 1, "b": 1, "c": 1, "re": "1"}]}}),
+    "series item above the order": (["charpoly", "--surface", "{surface}"],
+                                    {"surface": {"order": 9, "series": [
+                                        {"a": 1, "b": 1, "c": 1, "re": "1"},
+                                        {"a": 5, "b": 5, "c": 1, "re": "7"}]}}),
+    "map item above the order": (["verify-map", "--family", "quadric", "--order-total", "9",
+                                  "--map", "{map}"],
+                                 {"map": {"f": [{"l": 9, "k": 3, "re": "1"}]}}),
+    "field item above the order": (["verify-field", "--family", "quadric", "--order-total", "9",
+                                    "--field", "{field}"],
+                                   {"field": {"Xz": [], "Xw": [{"l": 0, "k": 10, "im": "1"}]}}),
+    "series not a list": (["charpoly", "--surface", "{surface}"],
+                          {"surface": {"order": 9, "series": 5}}),
 }
 
 
@@ -259,3 +284,99 @@ def test_malformed_literal_exit_2(capsys, tmp_path, case):
     code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert "parse error" in err
+
+
+def test_series_item_above_the_order_is_named_as_in_an_expression(capsys, tmp_path):
+    sfile = tmp_path / "surface.json"
+    sfile.write_text(json.dumps({"order": 9, "series": [
+        {"a": 1, "b": 1, "c": 1, "re": "1"}, {"a": 5, "b": 5, "c": 1, "re": "7"}]}))
+    from_file = run_cli(capsys, "charpoly", "--surface", str(sfile))
+    from_expr = run_cli(capsys, "charpoly", "--expr", "u*z*zb + 7*z^5*zb^5*u",
+                        "--order-total", "9")
+    message = "nfc: parse error: monomial z^5*zb^5*u^1 exceeds the truncation order 9\n"
+    assert from_file == from_expr == (2, "", message)
+
+
+def test_zero_items_above_the_order_are_allowed():
+    spec = parse_surface_spec({"order": 9, "series": [
+        {"a": 1, "b": 1, "c": 1, "re": "1"}, {"a": 5, "b": 5, "c": 1, "re": "0", "im": "0"}]})
+    assert spec["series"] == {(1, 1, 1): ONE}
+    m = parse_map_spec({"f": [{"l": 9, "k": 3}], "g": []}, 9)
+    assert m.f.is_zero() and m.g.is_zero()
+
+
+def test_repeated_item_takes_the_last_coefficient():
+    spec = parse_surface_spec({"order": 9, "series": [
+        {"a": 1, "b": 1, "c": 1, "re": "1"},
+        {"a": 2, "b": 2, "c": 1, "re": "7"}, {"a": 2, "b": 2, "c": 1, "re": "5"},
+        {"a": 3, "b": 3, "c": 1, "re": "7"}, {"a": 3, "b": 3, "c": 1, "re": "0"}]})
+    assert spec["series"] == {(1, 1, 1): ONE, (2, 2, 1): GaussianRational(5)}
+    items = [{"l": 2, "k": 1, "re": "1"}, {"l": 2, "k": 1, "re": "0"}]
+    m = parse_map_spec({"f": items, "g": items[::-1]}, 9)
+    assert m.f.is_zero() and m.g == HoloSeries2(9, {(2, 1): 1})
+    Xz, Xw = parse_field_spec({"Xz": items, "Xw": items[::-1]}, 9)
+    assert Xz.is_zero() and Xw == HoloSeries2(9, {(2, 1): 1})
+
+
+class TestPinnedOutput:
+    """The stdout of each subcommand is pinned by sha256.
+
+    Every report is exact and deterministic, so any change to parsing, the
+    series arithmetic or the JSON writer that alters one byte fails here.
+    The spec files are written to the working directory and named by a
+    relative path, because the command line is echoed into the report.
+    """
+
+    FILES = {
+        "surface.json": {"order": 10, "series": [
+            {"a": 1, "b": 1, "c": 1, "re": "1", "im": "0"},
+            {"a": 3, "b": 3, "c": 1, "re": "1"},
+            {"a": 3, "b": 1, "c": 2, "re": "1/2", "im": "-2"},
+            {"a": 1, "b": 3, "c": 2, "re": "1/2", "im": "2"},
+            {"a": 2, "b": 2, "c": 3, "re": "-3"}]},
+        "map.json": {"f": [{"l": 2, "k": 0, "re": "1", "im": "-1"},
+                           {"l": 1, "k": 1, "re": "-2/3"}],
+                     "g": [{"l": 2, "k": 1, "re": "0", "im": "1/2"}]},
+    }
+
+    PINNED = {
+        "charpoly --expr": (
+            ["charpoly", "--expr", "u*(z*zb + 1/4*z^2*zb^2 - z^3*zb^3 + (1 + 2*i)*z^3*zb^2"
+             " + (1 - 2*i)*z^2*zb^3) + 2/3*z^2*zb^2*u^3", "--order-total", "9"],
+            "35ff340b66ed4c71e97a92d26948a1851d3da6d0851b01845dbcf6785fd7dbb8"),
+        "resonances --family": (
+            ["resonances", "--family", "mm", "--m", "2", "--order-total", "9"],
+            "cf8d386035db9c541ff6e83f71b7f2ba9277bd637eb6db8df1695381df9da35a"),
+        "normalize --surface": (
+            ["normalize", "--surface", "surface.json", "--order", "4"],
+            "7e7cc378bfd86ecca081c42adbda388d6ee3a0ac38b7c7b85184f260257208e4"),
+        "transform --map file": (
+            ["transform", "--family", "cd", "--C", "1", "--D", "-3", "--map", "map.json",
+             "--order-total", "9"],
+            "0900fc2f10e42d662e61d112d45bed109f97c3f4c9f995539156ab26d9c68e41"),
+        "verify-map --map ht": (
+            ["verify-map", "--family", "mmt", "--m", "1", "--T", "1", "--map", "ht",
+             "--t", "1/2", "--order-total", "9"],
+            "39eaf23362d4da7fa3162835131b7c108d793a4f942ca83a4902a1de26091835"),
+        "verify-field": (
+            ["verify-field", "--family", "quadric", "--m", "1", "--T", "0",
+             "--order-total", "9"],
+            "8e7a4630f6b99239c09ca7877730750e3a348a26d7ab4c419b7e45dcbd390f48"),
+        "selftest": (
+            ["selftest"],
+            "71c027899cfa53e748bb6261badab4f68adf77f4c74593dda34f975cacf03928"),
+        "normalize --format text": (
+            ["normalize", "--family", "mm", "--m", "1", "--order-total", "10",
+             "--format", "text"],
+            "c0c31cd96f0a08f00e3422fa6824157e8e3ef89a4ad3933239be8265aea210f9"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_stdout_digest(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        for fname, obj in self.FILES.items():
+            (tmp_path / fname).write_text(json.dumps(obj))
+        argv, expected = self.PINNED[name]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected

@@ -62,3 +62,54 @@ def test_scan_sees_string_annotations_and_flags_unused():
                      "    pass\n")
     names = imported_names(tree)
     assert sorted(n for n in names if n not in used_names(tree)) == ["C"]
+
+
+def private_definitions(tree: ast.Module) -> dict:
+    """Module-level private function, class and constant names -> line number."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def referenced_names(tree: ast.Module) -> set:
+    """Names a module reads or imports from a sibling."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_no_dead_private_helpers():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    refs = set().union(*map(referenced_names, trees.values()))
+    dead = sorted((name, line, module) for module, tree in trees.items()
+                  for name, line in private_definitions(tree).items() if name not in refs)
+    assert dead == [], f"private names defined but never referenced in nfc: {dead}"
+
+
+def test_scan_flags_unreferenced_private_names():
+    tree = ast.parse("_A = 1\n"
+                     "_B: int = 2\n"
+                     "__all__ = []\n"
+                     "def _f():\n"
+                     "    return _A\n"
+                     "class _C:\n"
+                     "    _B = 3\n"
+                     "def g(x: '_B') -> int:\n"
+                     "    return x._B + len([_C])\n")
+    assert sorted(n for n in private_definitions(tree) if n not in referenced_names(tree)) == [
+        "_B", "_f"]

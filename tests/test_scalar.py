@@ -61,6 +61,12 @@ class TestGaussianRational:
     def test_i_squared(self):
         assert I * I == GaussianRational(-1)
 
+    def test_unknown_operand_defers_to_the_other_side(self):
+        for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+            assert getattr(I, op)("x") is NotImplemented
+        with pytest.raises(TypeError, match="unsupported operand"):
+            I + "x"
+
     def test_serialization_round_trip(self):
         for val in (ZERO, ONE, I, GaussianRational(Fraction(-3, 7), Fraction(22, 5))):
             assert gaussian_from_obj(gaussian_to_obj(val)) == val

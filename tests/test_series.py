@@ -501,6 +501,15 @@ class TestSharedCore:
         assert HoloSeries2.zero(n) != Series3.zero(n)
         assert S(n, {(1, 0, 0): 1}) != HoloSeries2(n, {(1, 0): 1})
 
+    def test_scalar_on_the_left(self):
+        n = 3
+        for s in (Series3.var("z", n), HoloSeries2(n, {(1, 1): I, (0, 2): 1})):
+            for c in (1, Fraction(-1, 2), ONE, I):
+                assert c + s == s + c
+                assert c - s == -(s - c)
+                assert c * s == s * c
+        assert 1 - Series3.var("z", n) == S(n, {(0, 0, 0): 1, (1, 0, 0): -1})
+
     def test_holo_scalar_coercion(self):
         n = 4
         h = HoloSeries2(n, {(1, 1): I, (0, 2): 1})
