@@ -16,7 +16,7 @@ print(__doc__)
 
 T = Fraction(1)
 q = solve_qT(T, 8)
-print(f"q_T coefficients for T = {T}: {[str(c) for c in q.coeffs]}")
+print(f"q_T coefficients for T = {T}: {[str(q.coeff(j)) for j in range(q.n + 1)]}")
 print("(T = 0 would give arcsin: u q' = tan q is solved by q = arcsin u)\n")
 
 for (m, TT) in ((1, Fraction(1)), (2, Fraction(1)), (3, Fraction(2))):

@@ -18,8 +18,8 @@ from .scalar import (
 from .series import (
     FormalMap,
     HoloSeries2,
+    Series1,
     Series3,
-    UniSeries,
     compose_maps,
     hermitian_conjugate,
     invert_map,
@@ -27,7 +27,6 @@ from .series import (
     is_hermitian,
     split_real_imag,
     substitute,
-    uni_compose,
     uni_function,
 )
 from .surface import (

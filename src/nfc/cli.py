@@ -313,6 +313,8 @@ def parse_surface_spec(obj, default_order: int = DEFAULT_ORDER) -> dict:
         _hermitian_check(terms)
         return {"order": order, "series": terms}
     text = obj["expr"]
+    if not isinstance(text, str):
+        raise ParseError("expr must be a string")
     terms = parse_expression(text)
     for key in sorted(terms):
         _check_degree(key, order, Series3.VARS)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar import GaussianRational, ZERO, ONE, I
-from .series import FormalMap, HoloSeries2, Series3, UniSeries, uni_compose, uni_function
+from .scalar import GaussianRational, ONE, I
+from .series import FormalMap, HoloSeries2, Series1, Series3, substitute, uni_function
 from .surface import GraphSurface, validate_class
 
 
@@ -72,20 +72,19 @@ def gen_cd(C, D, N: int) -> GraphSurface:
     return _checked(GraphSurface(Series3(N, terms)))
 
 
-def _diagonal_surface(h: UniSeries, scale: int, N: int) -> GraphSurface:
+def _diagonal_surface(h: Series1, scale: int, N: int) -> GraphSurface:
     """phi = u * h(scale * z zb) for a real series h with h(0) = 0, h'(0)*scale = 1."""
-    if not h.is_real():
+    if not all(c.is_real() for c in h.terms.values()):
         raise AssertionError("generator sanity violation: graphing series not real")
-    terms = {}
     x = Fraction(scale)
-    for j in range(1, h.order + 1):
-        c = h.coeff(j)
-        if c.is_zero():
-            continue
-        if 2 * j + 1 > N:
-            break
-        terms[(j, j, 1)] = c * GaussianRational(x**j)
+    # the constructor drops the terms of degree 2j + 1 > N
+    terms = {(j, j, 1): c * GaussianRational(x**j) for (j,), c in h.terms.items()}
     return _checked(GraphSurface(Series3(N, terms)))
+
+
+def _inv1p(t: Series1) -> Series1:
+    """(1 + t)^-1 for a series t with vanishing constant term."""
+    return substitute(uni_function("pow_rational", t.n, exponent=Fraction(-1)), t)
 
 
 def gen_mm(m: int, N: int) -> GraphSurface:
@@ -101,40 +100,40 @@ def gen_mm(m: int, N: int) -> GraphSurface:
         raise ValueError("need N >= 7 for the M_m family")
     h_order = (N - 1) // 2
     arc = uni_function("arcsin", h_order)
-    scaled = arc * (I / GaussianRational(m))
-    q = uni_compose(uni_function("exp", h_order), scaled)
-    one = UniSeries(h_order, [ONE])
-    h = ((one - q) * I) / (one + q)
+    q = substitute(uni_function("exp", h_order), arc * (I / GaussianRational(m)))
+    # 1 + q = 2 (1 + (q - 1)/2)
+    h = (1 - q) * _inv1p((q - 1) * Fraction(1, 2)) * (I / 2)
     return _diagonal_surface(h, 2 * m, N)
 
 
-def solve_qT(T, order: int) -> UniSeries:
+def _qT_rhs(tan: Series1, q: Series1, T: Fraction) -> Series1:
+    """tan(q) / (1 + T tan(q))."""
+    tq = substitute(tan, q)
+    return tq * _inv1p(tq * T)
+
+
+def solve_qT(T, order: int) -> Series1:
     """Unique series solution of u q' = tan(q) / (1 + T tan(q)), q = u + O(u^2).
 
     Matching the u^n coefficient gives (n-1) q_n = (known lower data), so
-    each step is a single division by the nonzero factor n - 1.
+    each step is a single division by the nonzero factor n - 1; the right
+    side is evaluated at order n, the highest that step reads.
     """
     if order < 2:
         raise ValueError("need order >= 2 for the defining ODE")
     T = Fraction(T)
     tan = uni_function("tan", order)
-    q = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
+    terms = {(1,): ONE}
     for n in range(2, order + 1):
-        qs = UniSeries(order, [GaussianRational(v) for v in q])
-        tq = uni_compose(tan, qs)
-        rhs = tq / (UniSeries(order, [ONE]) + tq * GaussianRational(T))
-        rn = rhs.coeff(n)
+        rn = _qT_rhs(Series1(n, tan.terms), Series1(n, terms), T).coeff(n)
         if not rn.is_real():
             raise ValueError("coefficient matching degeneracy in the q_T solve")
-        q[n] = rn.re / (n - 1)
-    qs = UniSeries(order, [GaussianRational(v) for v in q])
+        terms[(n,)] = rn.re / (n - 1)
+    q = Series1(order, terms)
     # defensive residual check of the defining property
-    tq = uni_compose(tan, qs)
-    rhs = tq / (UniSeries(order, [ONE]) + tq * GaussianRational(T))
-    lhs = qs.derivative().shift_mul_x()
-    if lhs != rhs:
+    if q.diff("x") * Series1.var("x", order) != _qT_rhs(tan, q, T):
         raise ValueError("coefficient matching degeneracy in the q_T solve")
-    return qs
+    return q
 
 
 def gen_mmt(m: int, T, N: int) -> GraphSurface:
@@ -145,8 +144,7 @@ def gen_mmt(m: int, T, N: int) -> GraphSurface:
         raise ValueError("need N >= 7 for the M_{m,T} family")
     T = Fraction(T)
     h_order = max(2, (N - 1) // 2)
-    q = solve_qT(T, h_order)
-    h = uni_compose(uni_function("tan", h_order), q * GaussianRational(Fraction(1, m)))
+    h = substitute(uni_function("tan", h_order), solve_qT(T, h_order) * Fraction(1, m))
     return _diagonal_surface(h, m, N)
 
 
@@ -156,15 +154,12 @@ def gen_Ht(m: int, t, N: int) -> FormalMap:
         raise ValueError("m must be a positive integer")
     if N < 2 * m + 1:
         raise ValueError("need N >= 2m + 1 to carry the lowest H_t coefficients")
-    t = Fraction(t)
-    inner_coeffs = [ZERO] * (N + 1)
-    inner_coeffs[2 * m] = GaussianRational(-t)
-    inner = UniSeries(N, inner_coeffs)
-    ser_f = uni_compose(uni_function("pow_rational", N, exponent=Fraction(-1, 2)), inner)
-    ser_g = uni_compose(uni_function("pow_rational", N, exponent=Fraction(-1, 2 * m)), inner)
+    inner = Series1(N, {(2 * m,): -Fraction(t)})
+    ser_f = substitute(uni_function("pow_rational", N, exponent=Fraction(-1, 2)), inner)
+    ser_g = substitute(uni_function("pow_rational", N, exponent=Fraction(-1, 2 * m)), inner)
     # f = z (ser_f - 1), g = w (ser_g - 1); the constructor trims beyond N
-    f_terms = {(1, j): ser_f.coeff(j) for j in range(1, N + 1) if not ser_f.coeff(j).is_zero()}
-    g_terms = {(0, j + 1): ser_g.coeff(j) for j in range(1, N + 1) if not ser_g.coeff(j).is_zero()}
+    f_terms = {(1, j): v for (j,), v in ser_f.terms.items() if j}
+    g_terms = {(0, j + 1): v for (j,), v in ser_g.terms.items() if j}
     return FormalMap(HoloSeries2(N, f_terms), HoloSeries2(N, g_terms))
 
 

@@ -9,11 +9,13 @@ a subclass names its variables in ``VARS`` and decodes packed keys:
   everything derived from them.
 * ``HoloSeries2`` -- holomorphic series in (z, w); used for map components
   and vector fields.
+* ``Series1`` -- series in one variable x; used for the transcendental
+  generator math (arcsin, tan, exp, rational powers, the q_T ODE) and the
+  N_ab(u) of a surface.
 
-``substitute`` composes a series of either kind with replacements of either
-kind.  ``UniSeries`` is apart: a dense univariate series used for the
-transcendental generator math (arcsin, tan, exp, rational powers, the q_T
-ODE).
+``substitute`` composes a series of any kind with replacements of any kind,
+so the family generators run on the same core and kernel as the
+normalization.
 
 All coefficients are GaussianRational and all operations are exact: a
 product simply drops monomials beyond the truncation order, and compositions
@@ -267,8 +269,32 @@ class _SparseSeries:
         if self.n != other.n:
             raise ValueError(f"mismatched truncation orders {self.n} != {other.n}")
 
+    def diff(self, which: str):
+        """Formal partial derivative; the cutoff N is kept unchanged."""
+        idx = self.VARS.index(which)
+        out = {}
+        for key, val in self.terms.items():
+            e = key[idx]
+            if e == 0:
+                continue
+            nk = list(key)
+            nk[idx] = e - 1
+            out[tuple(nk)] = val * e
+        return self._make(self.n, out)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, {len(self.terms)} terms)"
+
+
+class Series1(_SparseSeries):
+    """Sparse series in one variable x: finite map (j,) -> nonzero coefficient."""
+
+    __slots__ = ()
+    VARS = ("x",)
+
+    @staticmethod
+    def _unpack(pairs, B: int) -> dict:
+        return {(key,): v for key, v in pairs}
 
 
 class Series3(_SparseSeries):
@@ -288,19 +314,6 @@ class Series3(_SparseSeries):
 
     # In the class dict so that tracers can wrap the product of this class alone.
     __mul__ = __rmul__ = _SparseSeries.__mul__
-
-    def diff(self, which: str) -> "Series3":
-        """Formal partial derivative; the cutoff N is kept unchanged."""
-        idx = self.VARS.index(which)
-        out = {}
-        for key, val in self.terms.items():
-            e = key[idx]
-            if e == 0:
-                continue
-            nk = list(key)
-            nk[idx] = e - 1
-            out[tuple(nk)] = val * e
-        return Series3._make(self.n, out)
 
     def truncate(self, n: int) -> "Series3":
         if n == self.n:
@@ -358,23 +371,6 @@ def split_real_imag(s: Series3) -> tuple[Series3, Series3]:
     h1 = (s + conj) * half
     h2 = (s - conj) * (half / I)
     return h1, h2
-
-
-class _PowCache:
-    """Lazily extended powers of a fixed series (sparse or ``UniSeries``)."""
-
-    __slots__ = ("base", "pows")
-
-    def __init__(self, base):
-        self.base = base
-        self.pows = [None, base]
-
-    def __call__(self, e: int):
-        if e == 0:
-            raise ValueError("power 0 handled by caller")
-        while len(self.pows) <= e:
-            self.pows.append(self.pows[-1] * self.base)
-        return self.pows[e]
 
 
 def _swap(key: int, B: int) -> int:
@@ -501,10 +497,10 @@ class _Point:
 def substitute(s: _SparseSeries, *repls: _SparseSeries) -> _SparseSeries:
     """Exact composition s(*repls) truncated at N, of the replacements' type.
 
-    s is a Series3 or HoloSeries2, and takes one replacement per variable;
-    the replacements share one type, which may differ from s's.  They must
-    have vanishing constant term so that only finitely many terms of s
-    contribute at each degree.
+    s is a sparse series of any kind, and takes one replacement per
+    variable; the replacements share one type, which may differ from s's.
+    They must have vanishing constant term so that only finitely many terms
+    of s contribute at each degree.
 
     The composition runs on Gaussian integers from start to end (see
     ``_Point.compose``): each group of terms that differ only in the last
@@ -669,169 +665,40 @@ def invert_map(m: FormalMap) -> FormalMap:
     raise ValueError("map inversion did not converge")
 
 
-class UniSeries:
-    """Dense univariate truncated series over GaussianRational."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs=()):
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        cs = [as_gaussian(c) for c in coeffs][: order + 1]
-        cs += [ZERO] * (order + 1 - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("UniSeries is immutable")
-
-    @classmethod
-    def zero(cls, order: int) -> "UniSeries":
-        return cls(order)
-
-    @classmethod
-    def x(cls, order: int) -> "UniSeries":
-        return cls(order, [ZERO, ONE])
-
-    def coeff(self, j: int) -> GaussianRational:
-        return self.coeffs[j] if 0 <= j <= self.order else ZERO
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __add__(self, other) -> "UniSeries":
-        other = self._coerce(other)
-        return UniSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other) -> "UniSeries":
-        return self + (-self._coerce(other))
-
-    def __neg__(self) -> "UniSeries":
-        return UniSeries(self.order, [-c for c in self.coeffs])
-
-    def __mul__(self, other) -> "UniSeries":
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = as_gaussian(other)
-            return UniSeries(self.order, [v * c for v in self.coeffs])
-        other = self._coerce(other)
-        out = [ZERO] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > self.order:
-                    break
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return UniSeries(self.order, out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "UniSeries":
-        """Series division; the divisor needs an invertible constant term."""
-        other = self._coerce(other)
-        c0 = other.coeffs[0]
-        if c0.is_zero():
-            raise ZeroDivisionError("series division needs a nonzero constant term")
-        inv0 = ONE / c0
-        out = [ZERO] * (self.order + 1)
-        for j in range(self.order + 1):
-            acc = self.coeffs[j]
-            for i in range(j):
-                acc = acc - out[i] * other.coeffs[j - i]
-            out[j] = acc * inv0
-        return UniSeries(self.order, out)
-
-    def _coerce(self, other) -> "UniSeries":
-        if isinstance(other, UniSeries):
-            if other.order != self.order:
-                raise ValueError(f"mismatched truncation orders {other.order} != {self.order}")
-            return other
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return UniSeries(self.order, [as_gaussian(other)])
-        raise TypeError(f"cannot combine UniSeries with {type(other).__name__}")
-
-    def derivative(self) -> "UniSeries":
-        return UniSeries(self.order, [self.coeffs[j] * j for j in range(1, self.order + 1)])
-
-    def shift_mul_x(self) -> "UniSeries":
-        """Multiply by the variable (drops the top coefficient)."""
-        return UniSeries(self.order, [ZERO] + list(self.coeffs[:-1]))
-
-    def truncate(self, order: int) -> "UniSeries":
-        return UniSeries(order, self.coeffs[: order + 1])
-
-    def is_real(self) -> bool:
-        return all(c.is_real() for c in self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"UniSeries(order={self.order}, {[str(c) for c in self.coeffs]})"
-
-
-def uni_compose(outer: UniSeries, inner: UniSeries) -> UniSeries:
-    """outer(inner(x)) truncated; inner must have zero constant term."""
-    if outer.order != inner.order:
-        raise ValueError(f"mismatched truncation orders {outer.order} != {inner.order}")
-    if not inner.coeffs[0].is_zero():
-        raise ValueError("composition requires vanishing constant term")
-    order = outer.order
-    out = UniSeries(order, [outer.coeffs[0]])
-    px = _PowCache(inner)
-    for j in range(1, order + 1):
-        c = outer.coeffs[j]
-        if not c.is_zero():
-            out = out + px(j) * c
-    return out
-
-
-def uni_function(kind: str, order: int, exponent: Fraction | None = None) -> UniSeries:
+def uni_function(kind: str, order: int, exponent: Fraction | None = None) -> Series1:
     """Maclaurin series of a named function to the requested order.
 
     kinds: arcsin, tan, exp, log1p, pow_rational (series of (1+x)**exponent).
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    cs = [ZERO] * (order + 1)
+    cs = [Fraction(0)] * (order + 1)
     if kind == "arcsin":
         # x + x^3/6 + 3x^5/40 + ...: c_{2n+1} = C(2n, n) / (4^n (2n+1))
         for m in range(0, (order - 1) // 2 + 1 if order >= 1 else 0):
-            j = 2 * m + 1
-            cs[j] = GaussianRational(Fraction(math.comb(2 * m, m), 4**m * (2 * m + 1)))
-        return UniSeries(order, cs)
-    if kind == "tan":
+            cs[2 * m + 1] = Fraction(math.comb(2 * m, m), 4**m * (2 * m + 1))
+    elif kind == "tan":
         # t' = 1 + t^2 solved order by order
-        t = [Fraction(0)] * (order + 1)
         if order >= 1:
-            t[1] = Fraction(1)
+            cs[1] = Fraction(1)
         for j in range(2, order + 1):
-            sq = sum(t[i] * t[j - 1 - i] for i in range(j))
-            t[j] = sq / j
-        return UniSeries(order, [GaussianRational(v) for v in t])
-    if kind == "exp":
+            cs[j] = sum(cs[i] * cs[j - 1 - i] for i in range(j)) / j
+    elif kind == "exp":
         f = Fraction(1)
         for j in range(order + 1):
-            cs[j] = GaussianRational(f)
+            cs[j] = f
             f /= j + 1
-        return UniSeries(order, cs)
-    if kind == "log1p":
+    elif kind == "log1p":
         for j in range(1, order + 1):
-            cs[j] = GaussianRational(Fraction((-1) ** (j + 1), j))
-        return UniSeries(order, cs)
-    if kind == "pow_rational":
+            cs[j] = Fraction((-1) ** (j + 1), j)
+    elif kind == "pow_rational":
         if exponent is None:
             raise ValueError("pow_rational needs an exponent")
         alpha = Fraction(exponent)
         binom = Fraction(1)
         for j in range(order + 1):
-            cs[j] = GaussianRational(binom)
+            cs[j] = binom
             binom = binom * (alpha - j) / (j + 1)
-        return UniSeries(order, cs)
-    raise ValueError(f"unknown function kind {kind!r}")
+    else:
+        raise ValueError(f"unknown function kind {kind!r}")
+    return Series1(order, {(j,): c for j, c in enumerate(cs)})

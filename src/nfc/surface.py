@@ -19,8 +19,8 @@ from .scalar import GaussianRational, ZERO, ONE, I, as_gaussian
 from .series import (
     FormalMap,
     HoloSeries2,
+    Series1,
     Series3,
-    UniSeries,
     hermitian_conjugate,
     invert_real_triple,
     is_hermitian,
@@ -232,15 +232,10 @@ def to_nab(M: GraphSurface) -> NabForm:
     u_order = max(0, M.n - 2)
     entries: dict = {}
     for (a, b, c), v in M.phi.terms.items():
-        if (a, b, c) == (1, 1, 1):
-            continue  # the explicit |z|^2
-        ser = entries.get((a, b))
-        if ser is None:
-            ser = [ZERO] * (u_order + 1)
-            entries[(a, b)] = ser
-        ser[c - 1] = v
+        if (a, b, c) != (1, 1, 1):  # the explicit |z|^2
+            entries.setdefault((a, b), {})[(c - 1,)] = v
     return NabForm(
-        entries={ab: UniSeries(u_order, cs) for ab, cs in sorted(entries.items())},
+        entries={ab: Series1(u_order, ts) for ab, ts in sorted(entries.items())},
         order=M.n,
         u_order=u_order,
     )

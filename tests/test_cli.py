@@ -219,8 +219,8 @@ class TestCommands:
 
 #: (argv, spec files) that are malformed: a bad literal, a negative exponent
 #: or order, an unknown family or a missing family parameter, a nonzero item
-#: above the order, or items not given as a list; "{name}" in argv is the
-#: path of the spec file written from files[name]
+#: above the order, items not given as a list, or an expr that is not a
+#: string; "{name}" in argv is the path of the spec file written from files[name]
 MALFORMED_LITERALS = {
     "map exponent": (["verify-map", "--family", "mm", "--m", "1", "--order-total", "9",
                       "--map", "{map}"],
@@ -271,6 +271,10 @@ MALFORMED_LITERALS = {
                                    {"field": {"Xz": [], "Xw": [{"l": 0, "k": 10, "im": "1"}]}}),
     "series not a list": (["charpoly", "--surface", "{surface}"],
                           {"surface": {"order": 9, "series": 5}}),
+    "expr a number": (["charpoly", "--surface", "{surface}"],
+                      {"surface": {"order": 9, "expr": 5}}),
+    "expr null": (["charpoly", "--surface", "{surface}"],
+                  {"surface": {"order": 9, "expr": None}}),
 }
 
 

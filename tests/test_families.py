@@ -1,11 +1,12 @@
 """Example family generators, ODE solver, stability maps and fields."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from nfc.scalar import GaussianRational, I, ONE, ZERO
-from nfc.series import FormalMap, HoloSeries2, UniSeries, uni_compose, uni_function
+from nfc.series import FormalMap, HoloSeries2, Series1, substitute, uni_function
 from nfc.surface import infinitesimal_defect, is_hermitian, jet7, map_defect, validate_class
 from nfc.resonance import char_poly
 from nfc.families import (
@@ -77,10 +78,10 @@ class TestQTSolve:
         T = Fraction(2, 3)
         order = 8
         q = solve_qT(T, order)
-        tan = uni_function("tan", order)
-        tq = uni_compose(tan, q)
-        rhs = tq / (UniSeries(order, [ONE]) + tq * GaussianRational(T))
-        assert q.derivative().shift_mul_x() == rhs
+        tq = substitute(uni_function("tan", order), q)
+        # rhs = tq / (1 + T tq), checked as rhs * (1 + T tq) == tq
+        lhs = q.diff("x") * Series1.var("x", order)
+        assert lhs * (1 + tq * T) == tq
 
     def test_T_zero_is_arcsin(self):
         # u q' = tan(q) with q'(0) = 1 is solved by q = arcsin(u)
@@ -185,3 +186,38 @@ class TestGenerate:
             rep = validate_class(M)
             assert rep.in_class and rep.phi11 == ONE
             assert is_hermitian(M.phi)
+
+
+def _terms_text(s) -> list:
+    return [(key, v.nre, v.nim, v.den) for key, v in s.sorted_terms()]
+
+
+_TS = (Fraction(1), Fraction(-2), Fraction(3, 7), Fraction(0))
+
+
+class TestGeneratorDigest:
+    """The exact output of the transcendental generators is pinned by digest.
+
+    Each digest is the sha256 of the sorted terms over a grid of parameters
+    that reaches N = 18 and a T outside the integers; they were recorded
+    with the generators' former dense univariate series engine.
+    """
+
+    PINNED = {
+        "gen_mm": (lambda: [_terms_text(gen_mm(m, N).phi) for m in (1, 2, 3) for N in (7, 12, 18)],
+                   "90fe41e2a2b8b0aa1070f55bdc8e07c138482fa7ebff5cd00828c8ef00e7aa14"),
+        "gen_mmt": (lambda: [_terms_text(gen_mmt(m, T, N).phi)
+                             for m in (1, 2, 3) for T in _TS for N in (9, 18)],
+                    "5770f42586501b80c86b8e08093c5071cf4531caf0cfe0b0374a6f81c8f87eb2"),
+        "gen_Ht": (lambda: [(_terms_text(H.f), _terms_text(H.g))
+                            for H in (gen_Ht(m, t, N) for m in (1, 2, 3)
+                                      for t in (Fraction(1), Fraction(2, 3)) for N in (9, 18))],
+                   "8fec777dd200178fe4be25005bccd8ba647c775120a4a835c3939a63a17ca4b9"),
+        "solve_qT": (lambda: [_terms_text(solve_qT(T, order)) for T in _TS for order in (2, 6, 9)],
+                     "a8afd9a67a9f3b67bf6d06894efc0f5c004d669399d388d6b60380029ec1c387"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_generator_digest(self, name):
+        build, expected = self.PINNED[name]
+        assert hashlib.sha256(repr(build()).encode()).hexdigest() == expected

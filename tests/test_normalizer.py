@@ -7,7 +7,7 @@ import pytest
 
 from nfc.scalar import GaussianRational, I, ONE, ZERO
 from nfc.series import FormalMap, HoloSeries2, Series3
-from nfc.surface import GraphSurface, check_normal_form, jet7, map_defect, transform
+from nfc.surface import GraphSurface, check_normal_form, jet7, map_defect, scale_surface, transform
 from nfc.resonance import KMatrix, char_poly, det, matrix_A
 import nfc.normalizer
 import nfc.series
@@ -533,3 +533,61 @@ class TestBitIdentity:
     def test_normalize_output_digest(self, name):
         build, K, expected = self.PINNED[name]
         assert _result_digests(normalize(build(), K)) == expected
+
+
+def _low_levels(M: GraphSurface, K: int) -> dict:
+    """The terms of u-level at most K."""
+    return {key: v for key, v in M.phi.terms.items() if key[2] <= K}
+
+
+class TestMainTheorem:
+    """The normal form is unique up to the action of S^1 x R* (the main theorem).
+
+    A seeded loop draws class surfaces that are not in normal coordinates
+    beyond level 1 and have no resonance through K.  Maps with no 1-jet
+    terms leave the normal form unchanged at every u-level <= K, and the
+    linear map (z, w) -> (alpha z, s w) changes it exactly by the group
+    action of (alpha, s).
+    """
+
+    N, K = 11, 5
+    ALPHA, S = GaussianRational(Fraction(3, 5), Fraction(4, 5)), Fraction(-2)
+
+    @classmethod
+    def _surfaces(cls, make: Maker, count: int = 3) -> list:
+        """(M, normalize(M, K)) for the first count non-resonant draws."""
+        out = []
+        while len(out) < count:
+            M = make.class_surface(cls.N, nterms=8, prenormalized=False)
+            res = normalize(M, cls.K)
+            if not any(k <= cls.K for k in res.resonances_predicted):
+                out.append((M, res))
+        return out
+
+    @staticmethod
+    def _map_without_1_jet(make: Maker, n: int) -> FormalMap:
+        """f without (0,0), (1,0), (0,1); g of w-order >= 2."""
+        f = make.holo2(n, 4, exclude=((0, 0), (1, 0), (0, 1)))
+        g = make.holo2(n, 6)
+        return FormalMap(f, HoloSeries2(n, {key: v for key, v in g.terms.items() if key[1] >= 2}))
+
+    def test_maps_without_1_jet_keep_the_normal_form(self):
+        make = Maker(seed=7)
+        checked = 0
+        for M, res in self._surfaces(make):
+            expected = _low_levels(res.normal_form, self.K)
+            assert _low_levels(M, self.K) != expected
+            for _ in range(3):
+                image = transform(M, self._map_without_1_jet(make, self.N))
+                assert _low_levels(image, self.K) != _low_levels(M, self.K)
+                assert _low_levels(normalize(image, self.K).normal_form, self.K) == expected
+                checked += 1
+        assert checked == 9
+
+    def test_scaling_acts_by_the_group(self):
+        g = GroupElement(self.ALPHA, self.S)
+        for M, res in self._surfaces(Maker(seed=7)):
+            scaled = normalize(scale_surface(M, g.alpha, g.s), self.K).normal_form
+            acted = apply_group_action(res.normal_form, g)
+            assert _low_levels(scaled, self.K) == _low_levels(acted, self.K)
+            assert _low_levels(scaled, self.K) != _low_levels(res.normal_form, self.K)

@@ -9,8 +9,8 @@ from nfc.scalar import GaussianRational, I, ONE, ZERO
 from nfc.series import (
     FormalMap,
     HoloSeries2,
+    Series1,
     Series3,
-    UniSeries,
     compose_maps,
     hermitian_conjugate,
     invert_map,
@@ -18,10 +18,9 @@ from nfc.series import (
     is_hermitian,
     split_real_imag,
     substitute,
-    uni_compose,
     uni_function,
 )
-from nfc.series import _Point, _PowCache
+from nfc.series import _Point
 
 
 def S(n, terms):
@@ -336,6 +335,21 @@ class TestSubstituteCarriers:
         other = HoloSeries2 if kind is Series3 else Series3
         with pytest.raises(TypeError, match="one type"):
             substitute(HoloSeries2(n, {(1, 1): 1}), x, other.var("z", n))
+
+
+class _PowCache:
+    """Lazily extended powers of a fixed series, by plain series products."""
+
+    __slots__ = ("base", "pows")
+
+    def __init__(self, base):
+        self.base = base
+        self.pows = [None, base]
+
+    def __call__(self, e: int):
+        while len(self.pows) <= e:
+            self.pows.append(self.pows[-1] * self.base)
+        return self.pows[e]
 
 
 def substitute_reference(s, *repls):
@@ -697,26 +711,28 @@ class TestFormalMaps:
 
 
 class TestUniSeries:
+    """Univariate series (``Series1``) on the sparse core."""
+
     def test_arcsin(self):
         s = uni_function("arcsin", 5)
-        assert [str(c) for c in s.coeffs] == ["0", "1", "0", "1/6", "0", "3/40"]
+        assert [str(s.coeff(j)) for j in range(6)] == ["0", "1", "0", "1/6", "0", "3/40"]
 
     def test_tan(self):
         s = uni_function("tan", 5)
-        assert [str(c) for c in s.coeffs] == ["0", "1", "0", "1/3", "0", "2/15"]
+        assert [str(s.coeff(j)) for j in range(6)] == ["0", "1", "0", "1/3", "0", "2/15"]
 
     def test_exp_log_inverse(self):
         n = 7
-        e = uni_function("exp", n) - UniSeries(n, [ONE])   # exp(x) - 1
+        e = uni_function("exp", n) - 1   # exp(x) - 1
         lg = uni_function("log1p", n)
-        assert uni_compose(lg, e) == UniSeries.x(n)
+        assert substitute(lg, e) == Series1.var("x", n)
 
     def test_pow_rational_binomial(self):
         for t in (Fraction(1), Fraction(2, 3), Fraction(-5, 7)):
             n = 2
             pw = uni_function("pow_rational", n, exponent=Fraction(1, 2))
-            inner = UniSeries(n, [ZERO, GaussianRational(-t)])
-            out = uni_compose(pw, inner)
+            inner = Series1(n, {(1,): -t})
+            out = substitute(pw, inner)
             assert out.coeff(0) == ONE
             assert out.coeff(1) == GaussianRational(-t / 2)
             assert out.coeff(2) == GaussianRational(-t * t / 8)
@@ -725,17 +741,23 @@ class TestUniSeries:
         n = 6
         third = uni_function("pow_rational", n, exponent=Fraction(1, 3))
         cube = third * third * third
-        assert cube == UniSeries(n, [ONE, ONE])  # (1+x)^{1/3} cubed is 1 + x
+        assert cube == Series1(n, {(0,): ONE, (1,): ONE})  # (1+x)^{1/3} cubed is 1 + x
 
     def test_compose_needs_zero_constant(self):
         n = 3
         with pytest.raises(ValueError, match="vanishing constant term"):
-            uni_compose(uni_function("exp", n), UniSeries(n, [ONE, ONE]))
+            substitute(uni_function("exp", n), Series1(n, {(0,): ONE, (1,): ONE}))
 
     def test_division(self):
+        # 1 / (1 - x) as the product with (1 + t)^-1 at t = -x
         n = 5
-        num = UniSeries(n, [ONE])
-        den = UniSeries(n, [ONE, -ONE])     # 1 - x
-        geo = num / den
-        assert geo == UniSeries(n, [ONE] * (n + 1))
-        assert geo * den == num
+        den = 1 - Series1.var("x", n)
+        geo = substitute(uni_function("pow_rational", n, exponent=Fraction(-1)), den - 1)
+        assert geo == Series1(n, {(j,): ONE for j in range(n + 1)})
+        assert geo * den == Series1(n, {(0,): ONE})
+
+    def test_diff_keeps_the_kind(self):
+        s = uni_function("exp", 5)
+        assert s.diff("x") == uni_function("exp", 5) - Series1(5, {(5,): Fraction(1, 120)})
+        h = HoloSeries2(4, {(2, 1): 3, (0, 2): I})
+        assert h.diff("w") == HoloSeries2(4, {(2, 0): 3, (0, 1): 2 * I})

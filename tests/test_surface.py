@@ -146,7 +146,7 @@ class TestNabForm:
     def test_flatness_violation(self):
         M = surf(8, {(1, 1, 1): 1, (2, 2, 2): 1})
         nab = to_nab(M)
-        assert [str(c) for c in nab.entries[(2, 2)].coeffs[:2]] == ["0", "1"]  # N22(u) = u
+        assert [str(nab.entries[(2, 2)].coeff(j)) for j in range(2)] == ["0", "1"]  # N22(u) = u
         rep = check_normal_form(M)
         assert not rep.ok and rep.violations_flat == [(2, 2, 2)]
 
