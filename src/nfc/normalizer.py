@@ -17,7 +17,7 @@ transform is therefore linear, and it is computed here from the first
 variation of the graph equation restricted to level k.  Each unknown enters
 it as a z^l- or z-bar^l-shift of two base series per stage, so a column is
 read off, not multiplied out.  The test suite re-derives selected columns
-by probing the genuine transform and checks the distinguished 9x9 block
+by transforming with unit maps, and checks the distinguished 9x9 block
 against the transcription in ``resonance``.
 """
 
@@ -212,26 +212,6 @@ def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
         k=k, order=n, unknowns=unknowns, conditions=conditions,
         matrix=rows, rhs=rhs, tagged_rows=tagged_rows, tagged_cols=tagged_cols,
     )
-
-
-def genuine_probe_column(M: GraphSurface, k: int, kind: str, l: int, part: str) -> list:
-    """Stage-system column recomputed by transforming with the unit map.
-
-    Slower than the first-variation kernel; used to cross-validate it.
-    """
-    n = M.n
-    c = ONE if part == "re" else I
-    if kind == "f":
-        m = FormalMap(HoloSeries2(n, {(l, k - 1): c}), HoloSeries2(n))
-    else:
-        m = FormalMap(HoloSeries2(n), HoloSeries2(n, {(l, k): c}))
-    M2 = transform(M, m)
-    lf, lg = n - 1 - k, n - k
-    out = []
-    for a, b, cpart in _condition_list(k, lf, lg):
-        v = M2.phi.coeff(a, b, k) - M.phi.coeff(a, b, k)
-        out.append(v.re if cpart == "re" else v.im)
-    return out
 
 
 @dataclass

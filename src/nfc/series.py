@@ -32,7 +32,7 @@ output coefficient instead of two per term pair.
 A composition is evaluated at a ``_Point``, which holds the power tables of
 its replacements as integer forms and can be shared: the passes of
 ``invert_real_triple`` share the tables of Z and conj Z between G and F, and
-its confirming pass shares all three with the pull-back of ``transform``.
+its last pass shares all three with the pull-back of ``transform``.
 Each group of terms is assembled as one integer form, carried through the
 head products unreduced, and summed with the other groups over one common
 denominator, so each output coefficient is reduced once.  At a real point
@@ -282,6 +282,11 @@ class _SparseSeries:
             out[tuple(nk)] = val * e
         return self._make(self.n, out)
 
+    def truncate(self, n: int):
+        if n == self.n:
+            return self
+        return type(self)(n, {k: v for k, v in self.terms.items() if sum(k) <= n})
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, {len(self.terms)} terms)"
 
@@ -314,11 +319,6 @@ class Series3(_SparseSeries):
 
     # In the class dict so that tracers can wrap the product of this class alone.
     __mul__ = __rmul__ = _SparseSeries.__mul__
-
-    def truncate(self, n: int) -> "Series3":
-        if n == self.n:
-            return self
-        return Series3(n, {k: v for k, v in self.terms.items() if sum(k) <= n})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -414,9 +414,10 @@ class _Point:
         #: (z, zb, u) then composes to a Hermitian series
         self.real = self.conjugate_heads and is_hermitian(repls[2])
 
-    def with_last(self, r: _SparseSeries) -> "_Point":
-        """The point with the last replacement swapped for r; other tables shared."""
-        return _Point(self.repls[:-1] + (r,), self.tables[:-1] + [_power_table(r)])
+    def replace(self, i: int, r: _SparseSeries) -> "_Point":
+        """The point with replacement i swapped for r; the other tables are shared."""
+        return _Point(self.repls[:i] + (r,) + self.repls[i + 1:],
+                      self.tables[:i] + [_power_table(r)] + self.tables[i + 1:])
 
     def power(self, i: int, e: int) -> tuple:
         """Integer form (D, rows) of the e-th power of replacement i."""
@@ -535,30 +536,25 @@ def invert_real_triple(z1: Series3, u1: Series3, *pull: Series3) -> tuple:
     least linear with the only admissible linear term a multiple of u (this
     is what stage maps produce through w = u + i*phi); u1 must be Hermitian
     and equal u plus terms of degree >= 2.  Each further series p in
-    ``pull`` is pulled back to the image variables too: p(Z, conj Z, U) is
-    appended to the result, computed with the power tables that the final
-    pass has already built.
+    ``pull``, which must have no term linear in z or zb, is pulled back to
+    the image variables too: p(Z, conj Z, U) is appended to the result.
 
     With F = z1 - z and G = u1 - u, (Z, U) is the fixed point of
     Z = z - F(Z, conj Z, U), U = u - G(Z, conj Z, U).  It is reached by a
-    precision ramp: for d = 1, ..., N one Gauss-Seidel pass at order d,
-    started from the order-(d-1) result, updates U first and then Z with
-    the new U.  G and F are evaluated at points that share the power tables
-    of Z and conj Z.  G has no linear term and F's only linear term is a
-    multiple of u, so each pass fixes degree d of both components, and the
-    order-d result is the order-d part of the inverse.  A final pass at
-    order N must give (Z, U) back unchanged; otherwise the triple is
-    rejected.  That pass evaluates F and G at the one point (Z, conj Z, U):
-    if U came back changed, the check fails whatever F gives.  G is
-    Hermitian and the points are real, so G's compositions are halved.
+    precision ramp: for d = 0, ..., N one Gauss-Seidel pass at order d,
+    started from the order-(d-1) result Z', updates U first and then Z at
+    the point (Z', conj Z', U).  G has no linear term and F's only linear
+    term is a multiple of u, so each pass fixes degree d of both components,
+    and the order-d result is the order-d part of the inverse.  G is
+    Hermitian and the points are real, so G's compositions are halved.  The
+    pull-backs reuse the last pass's point and its power tables: Z - Z' is
+    homogeneous of degree N, so p takes the same value there to order N.
     """
     n = z1.n
     if u1.n != n:
         raise ValueError(f"mismatched truncation orders {u1.n} != {n}")
-    zv = Series3.var("z", n)
-    uv = Series3.var("u", n)
-    F = z1 - zv
-    G = u1 - uv
+    F = z1 - Series3.var("z", n)
+    G = u1 - Series3.var("u", n)
     for key in F.terms:
         if sum(key) <= 1 and key != (0, 0, 1):
             raise ValueError("reversion requires identity linear part")
@@ -572,15 +568,15 @@ def invert_real_triple(z1: Series3, u1: Series3, *pull: Series3) -> tuple:
             raise TypeError("pulled-back series must be Series3")
         if p.n != n:
             raise ValueError(f"mismatched truncation orders {p.n} != {n}")
-    Z, U = zv, uv
-    for d in range(1, n + 1):
+        if (1, 0, 0) in p.terms or (0, 1, 0) in p.terms:
+            raise ValueError("pulled-back series must have no term linear in z or zb")
+    Z = U = Series3(0)
+    for d in range(n + 1):
         Z = Z.truncate(d)
         point = _Point((Z, hermitian_conjugate(Z), U.truncate(d)))
         U = Series3.var("u", d) - point.compose(G.truncate(d))
-        Z = Series3.var("z", d) - point.with_last(U).compose(F.truncate(d))
-    point = _Point((Z, hermitian_conjugate(Z), U))
-    if (zv - point.compose(F), uv - point.compose(G)) != (Z, U):
-        raise ValueError("reversion did not converge (non-invertible triple?)")
+        point = point.replace(2, U)
+        Z = Series3.var("z", d) - point.compose(F.truncate(d))
     return (Z, U, *(point.compose(p) for p in pull))
 
 
@@ -644,25 +640,28 @@ def compose_maps(outer: FormalMap, inner: FormalMap) -> FormalMap:
 def invert_map(m: FormalMap) -> FormalMap:
     """Inverse map: compose_maps(m, invert_map(m)) is the identity to order N.
 
-    The fixed-point iteration converges whenever the 1-jet of the map is
-    unipotent, in particular whenever f01 * g10 = 0; every map produced by
-    the normalization pipeline has g(z, 0) = 0 and qualifies.  A map whose
-    1-jet is singular has no inverse and the iteration reports failure
-    after 3 * (N + 2) passes.
+    The inverse increments fi = -f(z + fi, w + gi), gi = -g(z + fi, w + gi)
+    come from the precision ramp of ``invert_real_triple``.  Pass d first
+    updates the increment whose series has no linear term (g when g10 = 0,
+    else f), then the other one at the point with the new increment.  That
+    needs a unipotent 1-jet, f01 * g10 = 0, which every pipeline map has
+    (g(z, 0) = 0).  Any other map raises ValueError, even an invertible one
+    such as f = w/2, g = z/2: the diagonal of its inverse's 1-jet is
+    1/(1 - f01 * g10) != 1, so that inverse is no FormalMap.
     """
     n = m.n
-    zv = HoloSeries2.var("z", n)
-    wv = HoloSeries2.var("w", n)
-    fi, gi = HoloSeries2(n), HoloSeries2(n)
-    for _ in range(3 * (n + 2)):
-        z1 = zv + fi
-        w1 = wv + gi
-        fn = -substitute(m.f, z1, w1)
-        gn = -substitute(m.g, z1, w1)
-        if fn == fi and gn == gi:
-            return FormalMap(fi, gi)
-        fi, gi = fn, gn
-    raise ValueError("map inversion did not converge")
+    f01, g10 = m.f.coeff(0, 1), m.g.coeff(1, 0)
+    if not (f01.is_zero() or g10.is_zero()):
+        raise ValueError(f"map inversion needs f01 * g10 = 0; got f01 = {f01}, g10 = {g10}")
+    first, second = (1, 0) if g10.is_zero() else (0, 1)
+    comps, var = (m.f, m.g), HoloSeries2.var
+    inc = [HoloSeries2(0), HoloSeries2(0)]
+    for d in range(n + 1):
+        point = _Point((var("z", d) + inc[0].truncate(d), var("w", d) + inc[1].truncate(d)))
+        inc[first] = -point.compose(comps[first].truncate(d))
+        point = point.replace(first, var(HoloSeries2.VARS[first], d) + inc[first])
+        inc[second] = -point.compose(comps[second].truncate(d))
+    return FormalMap(*inc)
 
 
 def uni_function(kind: str, order: int, exponent: Fraction | None = None) -> Series1:

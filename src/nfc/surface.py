@@ -306,9 +306,10 @@ def transform(M: GraphSurface, m: FormalMap) -> GraphSurface:
     Parametrize M by (z, zb, u) with w = u + i phi, push forward, invert the
     base triple (z1, conj z1, u1), and read the graphing function off the
     imaginary part v1 in image coordinates.  The reversion pulls v1 back
-    itself, at the point (Z, conj Z, U) of its confirming pass, so the powers
-    built there serve v1 too; v1 is Hermitian, so half of its groups are
-    computed and the rest mirrored.
+    itself, at the point of its last pass, so the powers built there serve
+    v1 too.  v1 has no term linear in z or zb: phi has none, and a g10 term
+    would give u1 a linear part, which the reversion rejects.  v1 is
+    Hermitian, so half of its groups are computed and the rest mirrored.
     """
     z1, u1, v1 = _image_side(M, m)
     _, _, phi_new = invert_real_triple(z1, u1, v1)

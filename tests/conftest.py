@@ -53,8 +53,8 @@ class Maker:
         return HoloSeries2(n, terms)
 
     def formal_map(self, n: int, nterms: int = 4) -> FormalMap:
-        # g10 = 0 keeps the linear part unipotent: with both f01 and g10 the
-        # type would admit maps with a singular (hence non-invertible) 1-jet
+        # g10 = 0 keeps the 1-jet unipotent (f01 * g10 = 0), which
+        # invert_map requires; test_series.dense_map draws g10 != 0
         f = self.holo2(n, nterms, exclude=((0, 0), (1, 0)))
         g = self.holo2(n, nterms, exclude=((0, 0), (0, 1), (1, 0)))
         return FormalMap(f, g)

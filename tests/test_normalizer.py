@@ -22,7 +22,6 @@ from nfc.normalizer import (
     _eliminate,
     _unknown_list,
     apply_group_action,
-    genuine_probe_column,
     normalize,
     prenormalize_level1,
     solve_stage,
@@ -36,6 +35,23 @@ from conftest import Maker
 
 def surf(n, terms):
     return GraphSurface(Series3(n, terms))
+
+
+def genuine_probe_column(M: GraphSurface, k: int, kind: str, l: int, part: str) -> list:
+    """Reference: a stage-system column recomputed by transforming with the unit map."""
+    n = M.n
+    c = ONE if part == "re" else I
+    if kind == "f":
+        m = FormalMap(HoloSeries2(n, {(l, k - 1): c}), HoloSeries2(n))
+    else:
+        m = FormalMap(HoloSeries2(n), HoloSeries2(n, {(l, k): c}))
+    M2 = transform(M, m)
+    lf, lg = n - 1 - k, n - k
+    out = []
+    for a, b, cpart in _condition_list(k, lf, lg):
+        v = M2.phi.coeff(a, b, k) - M.phi.coeff(a, b, k)
+        out.append(v.re if cpart == "re" else v.im)
+    return out
 
 
 class TestPrenormalize:

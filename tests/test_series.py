@@ -502,6 +502,26 @@ class TestIntegerComposition:
             invert_real_triple(z1, u1, HoloSeries2(n))
         with pytest.raises(ValueError, match="mismatched truncation orders"):
             invert_real_triple(z1, u1, S(n + 1, {}))
+        # a constant and a u-linear term pull back exactly; so does z1's u-linear term
+        for n in (5, 8):
+            z1 = var("z", n) + S(n, {(0, 0, 1): make.gaussian() or I})
+            z1 = z1 + make.series3(n, 4, min_degree=2)
+            u1 = var("u", n) + make.hermitian_series3(n, 4, min_degree=2)
+            p = make.series3(n, 5, min_degree=2)
+            p = p + S(n, {(0, 0, 1): make.gaussian() or ONE, (0, 0, 0): make.gaussian()})
+            Z, U, q = invert_real_triple(z1, u1, p)
+            assert q == substitute_reference(p, Z, hermitian_conjugate(Z), U)
+
+    def test_pull_back_rejects_z_linear_terms(self, make):
+        # the pull-back point lags Z by its degree-N part, which a z- or
+        # zb-linear term would carry into the result at degree N
+        n = 7
+        z1 = var("z", n) + S(n, {(0, 0, 1): I}) + make.series3(n, 3, min_degree=2)
+        u1 = var("u", n) + make.hermitian_series3(n, 3, min_degree=2)
+        for key in ((1, 0, 0), (0, 1, 0)):
+            p = make.series3(n, 4, min_degree=2) + S(n, {key: make.gaussian() or ONE})
+            with pytest.raises(ValueError, match="no term linear in z or zb"):
+                invert_real_triple(z1, u1, p)
 
 
 class TestSharedCore:
@@ -658,6 +678,40 @@ class TestInvertRealTriple:
             zc = hermitian_conjugate(z1)
             assert substitute(Z, z1, zc, u1) == var("z", n)
             assert substitute(U, z1, zc, u1) == var("u", n)
+        # the stage-2 shape: z1 with a u-linear term
+        n = 8
+        for _ in range(5):
+            z1 = var("z", n) + S(n, {(0, 0, 1): make.gaussian() or I})
+            z1 = z1 + make.series3(n, 4, min_degree=2)
+            u1 = var("u", n) + make.hermitian_series3(n, 3, min_degree=2)
+            Z, U = invert_real_triple(z1, u1)
+            zc = hermitian_conjugate(z1)
+            assert substitute(Z, z1, zc, u1) == var("z", n)
+            assert substitute(U, z1, zc, u1) == var("u", n)
+
+
+def full_order_map_inverse(m):
+    """Reference: Jacobi fixed-point passes at full order N until nothing moves."""
+    n = m.n
+    zv, wv = HoloSeries2.var("z", n), HoloSeries2.var("w", n)
+    fi, gi = HoloSeries2(n), HoloSeries2(n)
+    for _ in range(3 * (n + 2)):
+        z1, w1 = zv + fi, wv + gi
+        fn, gn = -substitute(m.f, z1, w1), -substitute(m.g, z1, w1)
+        if fn == fi and gn == gi:
+            return FormalMap(fi, gi)
+        fi, gi = fn, gn
+    raise AssertionError("reference map inversion did not converge")
+
+
+def dense_map(make, n, f01=ZERO, g10=ZERO):
+    """A map with the given linear coefficients, every term of degree 2 and 3,
+    and a few sparse higher terms."""
+    low = {(l, k) for l in range(4) for k in range(4 - l) if l + k >= 2}
+    no_linear = ((0, 0), (1, 0), (0, 1))
+    f = HoloSeries2(n, {**{key: make.gaussian(span=3) for key in low}, (0, 1): f01})
+    g = HoloSeries2(n, {**{key: make.gaussian(span=3) for key in low}, (1, 0): g10})
+    return FormalMap(f + make.holo2(n, 4, exclude=no_linear), g + make.holo2(n, 4, exclude=no_linear))
 
 
 class TestFormalMaps:
@@ -702,6 +756,24 @@ class TestFormalMaps:
             assert compose_maps(m, inv) == ident
             assert compose_maps(inv, m) == ident
             assert invert_map(inv) == m
+
+    def test_matches_full_order_iteration(self, make):
+        for n in range(6, 13):
+            c = make.gaussian() or ONE
+            m = dense_map(make, n, f01=c) if n % 2 else dense_map(make, n, g10=c)
+            assert invert_map(m) == full_order_map_inverse(m)
+        for i in range(6):
+            m = make.formal_map(6 + i)
+            assert invert_map(m) == full_order_map_inverse(m)
+
+    def test_non_unipotent_1_jet_rejected(self):
+        # the 1-jet [[1, 1/2], [1/2, 1]] has det 3/4: invertible, but the
+        # ramp needs f01 * g10 = 0
+        n = 5
+        half = Fraction(1, 2)
+        m = FormalMap(HoloSeries2(n, {(0, 1): half}), HoloSeries2(n, {(1, 0): half}))
+        with pytest.raises(ValueError, match="f01"):
+            invert_map(m)
 
     def test_compose_associative(self, make):
         n = 6
