@@ -39,9 +39,9 @@ def generate(spec: FamilySpec) -> GraphSurface:
     if spec.name == "cd":
         return gen_cd(p.get("C", Fraction(0)), p.get("D", Fraction(0)), n)
     if spec.name == "mm":
-        return gen_mm(int(p["m"]), n)
+        return gen_mm(p["m"], n)
     if spec.name == "mmt":
-        return gen_mmt(int(p["m"]), Fraction(p["T"]), n)
+        return gen_mmt(p["m"], Fraction(p["T"]), n)
     raise ValueError(f"unknown family {spec.name!r}")
 
 
@@ -50,6 +50,11 @@ def _checked(surface: GraphSurface) -> GraphSurface:
     if not report.in_class or report.phi11 != ONE:
         raise AssertionError("generator sanity violation: surface left the class")
     return surface
+
+
+def _check_m(m) -> None:
+    if type(m) is not int or m < 1:
+        raise ValueError("m must be a positive integer")
 
 
 def gen_quadric(N: int) -> GraphSurface:
@@ -94,8 +99,7 @@ def gen_mm(m: int, N: int) -> GraphSurface:
     which is real; the construction goes through the complex exponential and
     asserts the imaginary parts cancel exactly.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_m(m)
     if N < 7:
         raise ValueError("need N >= 7 for the M_m family")
     h_order = (N - 1) // 2
@@ -138,8 +142,7 @@ def solve_qT(T, order: int) -> Series1:
 
 def gen_mmt(m: int, T, N: int) -> GraphSurface:
     """Im w = Re w tan(q_T(m|z|^2)/m)."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_m(m)
     if N < 7:
         raise ValueError("need N >= 7 for the M_{m,T} family")
     T = Fraction(T)
@@ -150,8 +153,7 @@ def gen_mmt(m: int, T, N: int) -> GraphSurface:
 
 def gen_Ht(m: int, t, N: int) -> FormalMap:
     """H_t(z, w) = (z (1 - t w^{2m})^{-1/2}, w (1 - t w^{2m})^{-1/2m})."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_m(m)
     if N < 2 * m + 1:
         raise ValueError("need N >= 2m + 1 to carry the lowest H_t coefficients")
     inner = Series1(N, {(2 * m,): -Fraction(t)})
@@ -170,8 +172,7 @@ def gen_X(m: int, T, N: int) -> tuple[HoloSeries2, HoloSeries2]:
     with w^{m+1} d/dw) that is tangent to gen_mmt(m, T); tangency is
     asserted by the test suite against two independent expansions.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_m(m)
     T = Fraction(T)
     cz = GaussianRational(Fraction(m, 2), -Fraction(m, 2) * T)
     X_z = HoloSeries2(N, {(1, m): cz})

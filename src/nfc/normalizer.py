@@ -13,12 +13,13 @@ The affine system is exact because stage-k unknowns interact only above
 level k: every f-coefficient carries u-weight k-1 and lands in a slot worth
 at least one more power of u, every g-coefficient carries u-weight k, so any
 product of two unknowns lives at u-level > k.  The level-k block of the
-transform is therefore linear, and it is computed here from the first
-variation of the graph equation restricted to level k.  Each unknown enters
-it as a z^l- or z-bar^l-shift of two base series per stage, so a column is
-read off, not multiplied out.  The test suite re-derives selected columns
-by transforming with unit maps, and checks the distinguished 9x9 block
-against the transcription in ``resonance``.
+transform is therefore linear: it is the level-k slice of the linearized
+tangency equation 2 Re(X rho) = 0 for X = f d/dz + g d/dw.  A unit field's
+column is a z^l- or z-bar^l-shift of the u^k slices of w^(k-1) rho_z and
+w^k rho_w, which the helpers of ``surface.infinitesimal_defect`` give once
+per stage, so it is read off, not multiplied out.  The tests check columns
+against ``infinitesimal_defect`` and against transforms with unit maps, and
+the distinguished 9x9 block against the transcription in ``resonance``.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalar import GaussianRational, ONE, I
+from .scalar import GaussianRational, ONE
 from .series import FormalMap, HoloSeries2, Series3, compose_maps
 from .resonance import char_poly
-from .surface import GraphSurface, check_u_linear_class, jet7, scale_surface, transform
+from .surface import (GraphSurface, _along_graph, _rho_gradient, check_u_linear_class, jet7,
+                      scale_surface, transform)
 
 TAGGED_UNKNOWNS = (
     ("g", 1, "re"), ("g", 1, "im"),
@@ -136,30 +138,33 @@ def _unknown_list(lf: int, lg: int) -> list:
     return unknowns
 
 
-def _stage_bases(M: GraphSurface, k: int, m: int) -> tuple:
-    """(B_f, B_g) at order m, with psi the u-linear part of phi:
+def _stage_bases(M: GraphSurface, k: int) -> tuple:
+    """(B_f, B_g), the u^k slices of w^(k-1) rho_z and w^k rho_w, as series in (z, zb).
 
-        B_f = -psi_z (1 + i psi)^(k-1),   B_g = -(i + psi) (1 + i psi)^k / 2.
+    Both come from the helpers of ``infinitesimal_defect``, along w = u + i psi.
+    Only the u-linear part psi of phi reaches u^k (phi has no u-free term), and
+    only its terms of degree <= N - k + 1 in (z, zb), as the slices stop at N - k.
     """
-    psi = Series3(m + 1, {(a, b, 0): v for (a, b, c), v in M.phi.terms.items() if c == 1})
-    psi_z, psi = psi.diff("z").truncate(m), psi.truncate(m)
-    step = psi * I + ONE
-    power = step
-    for _ in range(k - 2):
-        power = power * step
-    return -(psi_z * power), power * step * ((psi + I) * Fraction(-1, 2))
+    n = M.n
+    psi = Series3(n, {key: v for key, v in M.phi.terms.items()
+                      if key[2] == 1 and key[0] + key[1] <= n - k + 1})
+    units = HoloSeries2(n, {(0, k - 1): ONE}), HoloSeries2(n, {(0, k): ONE})
+    slices = (h * rho for h, rho in zip(_along_graph(psi, *units), _rho_gradient(psi)))
+    return tuple(Series3(n - k, {(a, b, 0): v for (a, b, c), v in s.terms.items() if c == k})
+                 for s in slices)
 
 
 def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
     """Assemble the exact affine stage-k system for the current surface.
 
-    The level-k change made by f = c z^l w^(k-1) or g = c z^l w^k is
-    W + conj(W), with W the z^l-shift of c B_f or c B_g (``_stage_bases``)
-    and conj(W) its Hermitian conjugate, a z-bar^l-shift.  So every column
-    is read off two base series per stage, visiting only the base terms
-    that land on a condition slot.  Every factor of a base has degree >= 0,
-    so truncating it at the top condition degree N - k and then shifting
-    keeps exactly the terms that truncating inside each product would.
+    The level-k change made by f = c z^l w^(k-1) or g = c z^l w^k is the u^k
+    slice of X rho + conj(X rho), X = f d/dz or g d/dw, read through the
+    helpers of ``infinitesimal_defect``: the z^l-shift of c B_f or c B_g
+    (``_stage_bases``) and its conjugate, a z-bar^l-shift.  So every column is
+    read off two base series per stage, visiting only the base terms that
+    land on a condition slot.  Every factor of a base has degree >= 0, so
+    truncating it at degree N - k and then shifting keeps exactly the terms
+    that truncating inside each product would.
     """
     n = M_current.n
     if not 2 <= k <= n - 6:
@@ -180,7 +185,7 @@ def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
     den = {}
     # a term lands on a slot (a, b) only if q <= b, or p <= b for its mirror
     reach = max(b for _, b, _ in conditions)
-    for kind, top, base in zip("fg", (lf, lg), _stage_bases(M_current, k, lg)):
+    for kind, top, base in zip("fg", (lf, lg), _stage_bases(M_current, k)):
         D = den[kind] = lcm(*(v.den for v in base.terms.values()))
         for (p, q, _), v in base.terms.items():
             if min(p, q) > reach:

@@ -629,12 +629,9 @@ def compose_maps(outer: FormalMap, inner: FormalMap) -> FormalMap:
     n = outer.n
     if inner.n != n:
         raise ValueError(f"mismatched truncation orders {inner.n} != {n}")
-    z1 = HoloSeries2.var("z", n) + inner.f
-    w1 = HoloSeries2.var("w", n) + inner.g
-    # outer components evaluated on the inner image
-    f_new = inner.f + substitute(outer.f, z1, w1)
-    g_new = inner.g + substitute(outer.g, z1, w1)
-    return FormalMap(f_new, g_new)
+    # outer components evaluated on the inner image, at one point
+    point = _Point((HoloSeries2.var("z", n) + inner.f, HoloSeries2.var("w", n) + inner.g))
+    return FormalMap(inner.f + point.compose(outer.f), inner.g + point.compose(outer.g))
 
 
 def invert_map(m: FormalMap) -> FormalMap:

@@ -21,6 +21,7 @@ from .series import (
     HoloSeries2,
     Series1,
     Series3,
+    _Point,
     hermitian_conjugate,
     invert_real_triple,
     is_hermitian,
@@ -96,11 +97,13 @@ class Jet7:
 
 @dataclass
 class NabForm:
-    """phi = u(|z|^2 + sum N_ab(u) z^a zb^b); entries keyed by (a, b)."""
+    """phi = u(|z|^2 + sum N_ab(u) z^a zb^b); entries keyed by (a, b).
+
+    N_ab is known to order N - a - b - 1, the highest u-power phi carries there.
+    """
 
     entries: dict
     order: int
-    u_order: int
 
 
 def _is_rational_square(x: Fraction) -> Fraction | None:
@@ -229,15 +232,13 @@ def to_nab(M: GraphSurface) -> NabForm:
     for key in M.phi.terms:
         if key[2] == 0:
             raise ValueError("N_ab presentation requires an infinite-type surface")
-    u_order = max(0, M.n - 2)
     entries: dict = {}
     for (a, b, c), v in M.phi.terms.items():
         if (a, b, c) != (1, 1, 1):  # the explicit |z|^2
             entries.setdefault((a, b), {})[(c - 1,)] = v
     return NabForm(
-        entries={ab: Series1(u_order, ts) for ab, ts in sorted(entries.items())},
+        entries={(a, b): Series1(M.n - a - b - 1, ts) for (a, b), ts in sorted(entries.items())},
         order=M.n,
-        u_order=u_order,
     )
 
 
@@ -282,22 +283,27 @@ def check_normal_form(M: GraphSurface) -> NormalFormReport:
     )
 
 
+def _along_graph(phi: Series3, *holo: HoloSeries2) -> list:
+    """Holomorphic series in (z, w) along w = u + i phi, all composed at one point."""
+    n = phi.n
+    point = _Point((Series3.var("z", n), Series3.var("u", n) + phi * I))
+    return [point.compose(h) for h in holo]
+
+
+def _rho_gradient(phi: Series3) -> tuple:
+    """(rho_z, rho_w) = (-phi_z, 1/(2i) - phi_u/2), rho = (w - wb)/2i - phi(z, zb, Re w)."""
+    half = GaussianRational(Fraction(1, 2))
+    return -phi.diff("z"), Series3(phi.n, {(0, 0, 0): half / I}) - phi.diff("u") * half
+
+
 def _image_side(M: GraphSurface, m: FormalMap):
     """Common forward data: z1, u1, v1 along w = u + i phi."""
     n = M.n
     if m.n != n:
         raise ValueError(f"mismatched truncation orders {m.n} != {n}")
-    phi = M.phi
-    zv = Series3.var("z", n)
-    uv = Series3.var("u", n)
-    W = uv + phi * I
-    f_here = substitute(m.f, zv, W)
-    g_here = substitute(m.g, zv, W)
-    z1 = zv + f_here
+    f_here, g_here = _along_graph(M.phi, m.f, m.g)
     re_part, im_part = split_real_imag(g_here)
-    u1 = uv + re_part
-    v1 = phi + im_part
-    return z1, u1, v1
+    return Series3.var("z", n) + f_here, Series3.var("u", n) + re_part, M.phi + im_part
 
 
 def transform(M: GraphSurface, m: FormalMap) -> GraphSurface:
@@ -330,24 +336,15 @@ def map_defect(M: GraphSurface, m: FormalMap, Mtarget: GraphSurface) -> Series3:
 
 
 def infinitesimal_defect(M: GraphSurface, X_z: HoloSeries2, X_w: HoloSeries2) -> Series3:
-    """Tangency defect 2 Re(X rho) on M for X = X_z d/dz + X_w d/dw.
+    """Tangency defect 2 Re(X rho) on M for X = X_z d/dz + X_w d/dw, along w = u + i phi.
 
-    rho = (w - wb)/2i - phi(z, zb, (w + wb)/2); along w = u + i phi this
-    evaluates through rho_z = -phi_z and rho_w = 1/(2i) - phi_u/2.  The
-    defect vanishes iff the real field X + conj X is tangent to M to order N.
+    The defect vanishes iff the real field X + conj X is tangent to M to order N.
     """
     n = M.n
     if X_z.n != n or X_w.n != n:
         raise ValueError("mismatched truncation orders")
-    phi = M.phi
-    zv = Series3.var("z", n)
-    uv = Series3.var("u", n)
-    W = uv + phi * I
-    xz = substitute(X_z, zv, W)
-    xw = substitute(X_w, zv, W)
-    half = GaussianRational(Fraction(1, 2))
-    rho_z = -phi.diff("z")
-    rho_w = Series3(n, {(0, 0, 0): half / I}) - phi.diff("u") * half
+    xz, xw = _along_graph(M.phi, X_z, X_w)
+    rho_z, rho_w = _rho_gradient(M.phi)
     holo = xz * rho_z + xw * rho_w
     return holo + hermitian_conjugate(holo)
 

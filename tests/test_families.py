@@ -181,6 +181,18 @@ class TestGenerate:
         with pytest.raises(ValueError, match="unknown family"):
             generate(FamilySpec("sphere", {}, 8))
 
+    @pytest.mark.parametrize("m", [Fraction(3, 2), 2.9, Fraction(2), 2.0, True],
+                             ids=["3/2", "2.9", "Fraction(2)", "2.0", "True"])
+    def test_m_must_be_an_int(self, m):
+        # generate passes m through unconverted, so no value is rounded or cut
+        for spec in (FamilySpec("mm", {"m": m}, 9), FamilySpec("mmt", {"m": m, "T": Fraction(1)}, 9)):
+            with pytest.raises(ValueError, match="m must be a positive integer"):
+                generate(spec)
+        for build in (lambda: gen_mm(m, 9), lambda: gen_mmt(m, 1, 9),
+                      lambda: gen_Ht(m, Fraction(1), 9), lambda: gen_X(m, 1, 9)):
+            with pytest.raises(ValueError, match="m must be a positive integer"):
+                build()
+
     def test_all_generators_in_class(self):
         for M in (gen_quadric(8), gen_cd(2, -3, 8), gen_mm(2, 9), gen_mmt(2, Fraction(1, 2), 9)):
             rep = validate_class(M)

@@ -7,7 +7,8 @@ import pytest
 
 from nfc.scalar import GaussianRational, I, ONE, ZERO
 from nfc.series import FormalMap, HoloSeries2, Series3
-from nfc.surface import GraphSurface, check_normal_form, jet7, map_defect, scale_surface, transform
+from nfc.surface import (GraphSurface, check_normal_form, infinitesimal_defect, jet7, map_defect,
+                         scale_surface, transform)
 from nfc.resonance import KMatrix, char_poly, det, matrix_A
 import nfc.normalizer
 import nfc.series
@@ -121,6 +122,23 @@ class TestStageSystem:
                 j = sys.unknowns.index(label)
                 kernel_col = [sys.matrix[i][j] for i in range(len(sys.conditions))]
                 assert kernel_col == genuine_probe_column(M, k, *label)
+
+    def test_columns_are_the_tangency_operator(self):
+        # every column is the level-k slice of 2 Re(X rho) for its unit field
+        # X = c z^l w^(k-1) d/dz or c z^l w^k d/dw, in condition order
+        M = Maker(seed=3).class_surface(11, nterms=12)
+        n, checked = M.n, 0
+        for k in range(2, 6):
+            sys = stage_system(M, k)
+            for j, (kind, l, part) in enumerate(sys.unknowns):
+                c = ONE if part == "re" else I
+                unit = HoloSeries2(n, {(l, k - 1 if kind == "f" else k): c})
+                X = (unit, HoloSeries2(n)) if kind == "f" else (HoloSeries2(n), unit)
+                defect = infinitesimal_defect(M, *X)
+                expected = [getattr(defect.coeff(a, b, k), cpart) for a, b, cpart in sys.conditions]
+                assert [row[j] for row in sys.matrix] == expected, (k, kind, l, part)
+                checked += 1
+        assert checked == 128
 
     def test_example_probe_value(self):
         # one probe column entry pinned by the transformation rule:
@@ -249,22 +267,32 @@ class TestStageAssembly:
 
     def test_products_per_stage_do_not_grow_with_order(self, monkeypatch):
         # columns are shifts of a few base series: one stage costs the same
-        # number of series products at any truncation order
-        calls = []
-        kernel = nfc.series._mul_kernel
+        # number of series products at any truncation order.  The powers of
+        # w along the graph come from _Point.power, which runs _accumulate
+        # without _mul_kernel, so both are counted
+        calls, accumulations = [], []
+        kernel, accumulate = nfc.series._mul_kernel, nfc.series._accumulate
 
         def counted(*args):
             calls.append(1)
             return kernel(*args)
 
+        def counted_accumulate(*args):
+            accumulations.append(1)
+            return accumulate(*args)
+
         monkeypatch.setattr(nfc.series, "_mul_kernel", counted)
+        monkeypatch.setattr(nfc.series, "_accumulate", counted_accumulate)
         for k in (2, 4, 6):
-            counts = []
+            counts, accumulated = [], []
             for n in (12, 18):
                 calls.clear()
+                accumulations.clear()
                 stage_system(gen_cd(0, -24, n), k)
                 counts.append(len(calls))
+                accumulated.append(len(accumulations))
             assert counts[0] == counts[1] and counts[0] <= k + 2, (k, counts)
+            assert accumulated[0] == accumulated[1], (k, accumulated)
 
 
 class TestSolveStage:
@@ -589,16 +617,21 @@ class TestMainTheorem:
 
     def test_maps_without_1_jet_keep_the_normal_form(self):
         make = Maker(seed=7)
+        cases = [(M, res, self.N, self.K) for M, res in self._surfaces(make)]
+        for M, res, _, K in cases:
+            assert _low_levels(M, K) != _low_levels(res.normal_form, K)
+        # gen_cd(0, -24) is in normal form already and has no resonance
+        cd = gen_cd(0, -24, 12)
+        cases.append((cd, normalize(cd, 6), 12, 6))
         checked = 0
-        for M, res in self._surfaces(make):
-            expected = _low_levels(res.normal_form, self.K)
-            assert _low_levels(M, self.K) != expected
+        for M, res, n, K in cases:
+            expected = _low_levels(res.normal_form, K)
             for _ in range(3):
-                image = transform(M, self._map_without_1_jet(make, self.N))
-                assert _low_levels(image, self.K) != _low_levels(M, self.K)
-                assert _low_levels(normalize(image, self.K).normal_form, self.K) == expected
+                image = transform(M, self._map_without_1_jet(make, n))
+                assert _low_levels(image, K) != _low_levels(M, K)
+                assert _low_levels(normalize(image, K).normal_form, K) == expected
                 checked += 1
-        assert checked == 9
+        assert checked == 12
 
     def test_scaling_acts_by_the_group(self):
         g = GroupElement(self.ALPHA, self.S)

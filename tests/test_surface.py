@@ -167,6 +167,18 @@ class TestNabForm:
         with pytest.raises(ValueError, match="phi11 = 1"):
             to_nab(surf(8, {(1, 1, 1): 4}))
 
+    def test_each_entry_keeps_its_own_order(self):
+        # phi_abc with a + b + c <= N gives u^(c-1) in N_ab, so N_ab is
+        # known exactly to order N - a - b - 1
+        M = surf(8, {(1, 1, 1): 1, (0, 0, 8): 1, (2, 0, 6): 1, (0, 2, 6): 1, (2, 2, 2): 1})
+        nab = to_nab(M)
+        assert {ab: (s.n, s.terms) for ab, s in nab.entries.items()} == {
+            (0, 0): (7, {(7,): ONE}),
+            (2, 0): (5, {(5,): ONE}),
+            (0, 2): (5, {(5,): ONE}),
+            (2, 2): (3, {(1,): ONE}),
+        }
+
 
 class TestTransform:
     def test_identity(self):
