@@ -279,15 +279,13 @@ def surface_spec_to_obj(spec) -> dict:
         fam = dict(spec["family"])
         out["family"] = {k: (v if isinstance(v, (str, int)) else rational_str(v))
                          for k, v in fam.items()}
-    elif "series" in spec:
+    else:
         out["series"] = [_term_obj(key, v) for key, v in sorted(spec["series"].items())]
-    elif "expr" in spec:
-        out["expr"] = spec["expr"]
     return out
 
 
 def parse_surface_spec(obj, default_order: int = DEFAULT_ORDER) -> dict:
-    """Normalize a raw spec object (from JSON or flags) to {order, family|series|expr}."""
+    """Normalize a raw spec object to {order, family|series}; an expr becomes its series."""
     if not isinstance(obj, dict):
         raise ParseError("surface spec must be a JSON object")
     order = _count(obj.get("order", default_order), "order")
@@ -319,7 +317,7 @@ def parse_surface_spec(obj, default_order: int = DEFAULT_ORDER) -> dict:
     for key in sorted(terms):
         _check_degree(key, order, Series3.VARS)
     _hermitian_check(terms)
-    return {"order": order, "expr": text, "series": terms}
+    return {"order": order, "series": terms}
 
 
 def build_surface(spec) -> GraphSurface:

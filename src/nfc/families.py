@@ -1,9 +1,9 @@
 """Exact generators for the example surfaces, maps and vector fields.
 
 Each generator returns a fully validated class surface with phi11 = 1.  The
-two transcendental families assert on construction that the internally
-complex intermediate series produce a real graphing function; a failure
-would mean the generator itself is wrong, so it raises.
+two transcendental families are built from real series only: M_m from
+tan(arcsin(x)/(2m)), M_{m,T} from tan(q_T/m), with q_T the compositional
+inverse of sin(x) e^{Tx}.  Their docstrings give the derivations.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar import GaussianRational, ONE, I
-from .series import FormalMap, HoloSeries2, Series1, Series3, substitute, uni_function
+from .scalar import GaussianRational, ONE
+from .series import (FormalMap, HoloSeries2, Series1, Series3, invert_map, substitute,
+                     uni_function)
 from .surface import GraphSurface, validate_class
 
 
@@ -79,63 +80,46 @@ def gen_cd(C, D, N: int) -> GraphSurface:
 
 def _diagonal_surface(h: Series1, scale: int, N: int) -> GraphSurface:
     """phi = u * h(scale * z zb) for a real series h with h(0) = 0, h'(0)*scale = 1."""
-    if not all(c.is_real() for c in h.terms.values()):
-        raise AssertionError("generator sanity violation: graphing series not real")
     x = Fraction(scale)
     # the constructor drops the terms of degree 2j + 1 > N
     terms = {(j, j, 1): c * GaussianRational(x**j) for (j,), c in h.terms.items()}
     return _checked(GraphSurface(Series3(N, terms)))
 
 
-def _inv1p(t: Series1) -> Series1:
-    """(1 + t)^-1 for a series t with vanishing constant term."""
-    return substitute(uni_function("pow_rational", t.n, exponent=Fraction(-1)), t)
-
-
 def gen_mm(m: int, N: int) -> GraphSurface:
     """Im w = i Re w (1 - q)/(1 + q) with q = exp((i/m) arcsin(2m|z|^2)).
 
-    The right side collapses to Re w * tan(arcsin(x)/(2m)) at x = 2m|z|^2,
-    which is real; the construction goes through the complex exponential and
-    asserts the imaginary parts cancel exactly.
+    Since i(1 - e^{it})/(1 + e^{it}) = tan(t/2), the right side is
+    Re w * tan(arcsin(x)/(2m)) at x = 2m|z|^2, which is built directly.
     """
     _check_m(m)
     if N < 7:
         raise ValueError("need N >= 7 for the M_m family")
     h_order = (N - 1) // 2
-    arc = uni_function("arcsin", h_order)
-    q = substitute(uni_function("exp", h_order), arc * (I / GaussianRational(m)))
-    # 1 + q = 2 (1 + (q - 1)/2)
-    h = (1 - q) * _inv1p((q - 1) * Fraction(1, 2)) * (I / 2)
-    return _diagonal_surface(h, 2 * m, N)
-
-
-def _qT_rhs(tan: Series1, q: Series1, T: Fraction) -> Series1:
-    """tan(q) / (1 + T tan(q))."""
-    tq = substitute(tan, q)
-    return tq * _inv1p(tq * T)
+    arc = uni_function("arcsin", h_order) * Fraction(1, 2 * m)
+    return _diagonal_surface(substitute(uni_function("tan", h_order), arc), 2 * m, N)
 
 
 def solve_qT(T, order: int) -> Series1:
     """Unique series solution of u q' = tan(q) / (1 + T tan(q)), q = u + O(u^2).
 
-    Matching the u^n coefficient gives (n-1) q_n = (known lower data), so
-    each step is a single division by the nonzero factor n - 1; the right
-    side is evaluated at order n, the highest that step reads.
+    Separating variables, (cot q + T) dq = du/u integrates to
+    sin(q) e^{Tq} = u, so q_T is the compositional inverse of
+    s(x) = sin(x) e^{Tx} = Im exp((T + i) x).  ``invert_map`` reverts the
+    pure-z map z -> s(z), and q_T(u) = u + f(u, 0) for its inverse's f.
     """
     if order < 2:
         raise ValueError("need order >= 2 for the defining ODE")
     T = Fraction(T)
-    tan = uni_function("tan", order)
-    terms = {(1,): ONE}
-    for n in range(2, order + 1):
-        rn = _qT_rhs(Series1(n, tan.terms), Series1(n, terms), T).coeff(n)
-        if not rn.is_real():
-            raise ValueError("coefficient matching degeneracy in the q_T solve")
-        terms[(n,)] = rn.re / (n - 1)
-    q = Series1(order, terms)
-    # defensive residual check of the defining property
-    if q.diff("x") * Series1.var("x", order) != _qT_rhs(tan, q, T):
+    x = Series1.var("x", order)
+    e = substitute(uni_function("exp", order), x * GaussianRational(T, 1))
+    # s(z) - z, the z-increment of a map that leaves w fixed
+    s_inc = HoloSeries2(order, {(j, 0): c.im for (j,), c in e.terms.items() if j > 1})
+    f = invert_map(FormalMap(s_inc, HoloSeries2(order))).f
+    q = x + Series1(order, {(j,): c for (j, _), c in f.terms.items()})
+    # defensive residual check of the defining ODE, as u q' (1 + T tan q) = tan q
+    tq = substitute(uni_function("tan", order), q)
+    if q.diff("x") * x * (1 + tq * T) != tq:
         raise ValueError("coefficient matching degeneracy in the q_T solve")
     return q
 

@@ -6,8 +6,8 @@ assembles the exact affine system relating the stage-k map coefficients
 f_{l,k-1}, g_{l,k} to the u-level-k coefficients of the transformed surface,
 solves it exactly by fraction-free elimination over the integers, applies
 the genuine transform, and verifies that the targeted coefficients really
-vanished.  The same elimination decides whether the distinguished 9x9 block
-is singular, that is, whether stage k is resonant.
+vanished.  The system is singular exactly when its distinguished 9x9 block
+is, so the solve also tells whether stage k is resonant.
 
 The affine system is exact because stage-k unknowns interact only above
 level k: every f-coefficient carries u-weight k-1 and lands in a slot worth
@@ -379,6 +379,14 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
     distinguished ones dropped at resonant stages under gauge_zero.  Residue
     at levels above K is left in place.  The cumulative map composes all
     stage maps.
+
+    ``resonances_observed`` lists the stages whose whole system is singular.
+    That is the same as a singular distinguished 9x9 block.  On
+    prenormalized level 1, g0 im is the only unknown on row (0, 0) and the
+    only non-distinguished unknown on a distinguished row, and the other
+    non-distinguished unknowns form a triangular system with invertible 2x2
+    diagonal blocks (g_a on (a, 0), f_l on (l, 1)).  So det(system) is
+    det(9x9 block) times a nonzero factor.
     """
     n = M.n
     if K > n - 6:
@@ -391,9 +399,9 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
     stages = []
     for k in range(2, K + 1):
         sys = stage_system(current, k)
-        if sys.tagged_block_singular():
-            observed.append(k)
         sol = solve_stage(sys, policy)
+        if sol.status == "resonant":
+            observed.append(k)
         m_k = stage_map(sol, n)
         current = transform(current, m_k)
         # exactness check: every non-dropped condition must now vanish

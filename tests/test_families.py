@@ -1,12 +1,13 @@
 """Example family generators, ODE solver, stability maps and fields."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 
 from nfc.scalar import GaussianRational, I, ONE, ZERO
-from nfc.series import FormalMap, HoloSeries2, Series1, substitute, uni_function
+from nfc.series import FormalMap, HoloSeries2, Series1, Series3, substitute, uni_function
 from nfc.surface import infinitesimal_defect, is_hermitian, jet7, map_defect, validate_class
 from nfc.resonance import char_poly
 from nfc.families import (
@@ -20,6 +21,42 @@ from nfc.families import (
     generate,
     solve_qT,
 )
+
+
+def _inv1p(t: Series1) -> Series1:
+    """(1 + t)^-1 for a series t with vanishing constant term."""
+    return substitute(uni_function("pow_rational", t.n, exponent=Fraction(-1)), t)
+
+
+def _qT_rhs(tan: Series1, q: Series1, T: Fraction) -> Series1:
+    """tan(q) / (1 + T tan(q))."""
+    tq = substitute(tan, q)
+    return tq * _inv1p(tq * T)
+
+
+def solve_qT_reference(T, order: int) -> Series1:
+    """q_T by coefficient matching in u q' = tan(q) / (1 + T tan(q)).
+
+    The u^n coefficient gives (n - 1) q_n = (known lower data), so each
+    step is one division; the right side is evaluated at order n, the
+    highest that step reads.
+    """
+    T = Fraction(T)
+    tan = uni_function("tan", order)
+    terms = {(1,): ONE}
+    for n in range(2, order + 1):
+        rn = _qT_rhs(Series1(n, tan.terms), Series1(n, terms), T).coeff(n)
+        assert rn.is_real()
+        terms[(n,)] = rn.re / (n - 1)
+    return Series1(order, terms)
+
+
+def sin_exp(T, order: int) -> Series1:
+    """sin(x) e^{Tx} as the product of the two Maclaurin series."""
+    sin = Series1(order, {(j,): Fraction((-1) ** (j // 2), math.factorial(j))
+                          for j in range(1, order + 1, 2)})
+    exp = Series1(order, {(j,): Fraction(T) ** j / math.factorial(j) for j in range(order + 1)})
+    return sin * exp
 
 
 class TestQuadric:
@@ -58,6 +95,17 @@ class TestMm:
         assert char_poly(jet7(gen_mm(m, 9))).resonances == \
             char_poly(jet7(gen_cd(0, D, 9))).resonances == [m + 1, 2 * m + 1]
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_complex_exponential_form(self, m):
+        # i (1 - q)/(1 + q) with q = exp((i/m) arcsin(x)) is tan(arcsin(x)/(2m))
+        N = 15
+        order = (N - 1) // 2
+        q = substitute(uni_function("exp", order), uni_function("arcsin", order) * (I / m))
+        h = (1 - q) * _inv1p((q - 1) * Fraction(1, 2)) * (I / 2)
+        x = Fraction(2 * m)
+        assert gen_mm(m, N).phi == Series3(N, {(j, j, 1): c * GaussianRational(x**j)
+                                               for (j,), c in h.terms.items()})
+
     def test_diagonal_and_real(self):
         M = gen_mm(2, 11)
         for (a, b, c), v in M.phi.terms.items():
@@ -82,6 +130,21 @@ class TestQTSolve:
         # rhs = tq / (1 + T tq), checked as rhs * (1 + T tq) == tq
         lhs = q.diff("x") * Series1.var("x", order)
         assert lhs * (1 + tq * T) == tq
+
+    @pytest.mark.parametrize("T", [1, -2, Fraction(3, 7), Fraction(-2, 5), 0, 5])
+    def test_matches_the_ode_stepper(self, T):
+        for order in (2, 3, 6, 9, 13, 18):
+            assert solve_qT(T, order) == solve_qT_reference(T, order), order
+
+    @pytest.mark.parametrize("T", [1, -2, Fraction(3, 7), 0])
+    def test_inverts_sin_exp(self, T):
+        # sin(q) e^{Tq} = u integrates the ODE, so q_T reverts sin(x) e^{Tx}
+        order = 12
+        assert substitute(sin_exp(T, order), solve_qT(T, order)) == Series1.var("x", order)
+
+    def test_order_below_2_rejected(self):
+        with pytest.raises(ValueError):
+            solve_qT(1, 1)
 
     def test_T_zero_is_arcsin(self):
         # u q' = tan(q) with q'(0) = 1 is solved by q = arcsin(u)

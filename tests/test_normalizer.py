@@ -7,8 +7,8 @@ import pytest
 
 from nfc.scalar import GaussianRational, I, ONE, ZERO
 from nfc.series import FormalMap, HoloSeries2, Series3
-from nfc.surface import (GraphSurface, check_normal_form, infinitesimal_defect, jet7, map_defect,
-                         scale_surface, transform)
+from nfc.surface import (GraphSurface, Jet7, check_normal_form, infinitesimal_defect, jet7,
+                         map_defect, scale_surface, transform)
 from nfc.resonance import KMatrix, char_poly, det, matrix_A
 import nfc.normalizer
 import nfc.series
@@ -36,6 +36,15 @@ from conftest import Maker
 
 def surf(n, terms):
     return GraphSurface(Series3(n, terms))
+
+
+def _with_jet(M: GraphSurface, j: Jet7) -> GraphSurface:
+    """M with its u-linear 7-jet entries, and their conjugates, set to j."""
+    terms = dict(M.phi.terms)
+    for (a, b), v in (((2, 2), j.phi22), ((3, 2), j.phi32), ((3, 3), j.phi33),
+                      ((4, 2), j.phi42), ((4, 3), j.phi43)):
+        terms[(a, b, 1)], terms[(b, a, 1)] = v, v.conjugate()
+    return GraphSurface(Series3(M.n, terms))
 
 
 def genuine_probe_column(M: GraphSurface, k: int, kind: str, l: int, part: str) -> list:
@@ -102,10 +111,16 @@ class TestStageSystem:
             assert len(sys.matrix) == len(sys.conditions)
 
     def test_tagged_block_equals_matrix_A(self, make):
-        for trial in range(5):
-            M = make.class_surface(11, nterms=6)
+        # the class draws have zero 7-jets; the jet surfaces and the families
+        # reach the jet-dependent entries of matrix_A, at every k <= N - 6
+        surfaces = [make.class_surface(11, nterms=6) for _ in range(5)]
+        with_jet = [_with_jet(make.class_surface(n, nterms=6), make.jet())
+                    for n in (11, 11, 13, 13)]
+        with_jet += [gen_mm(1, 12), gen_mm(2, 12), gen_mmt(2, 1, 12), gen_cd(3, -7, 12)]
+        assert all(jet7(M) != Jet7.zero() for M in with_jet)
+        for trial, M in enumerate(surfaces + with_jet):
             A = matrix_A(jet7(M))
-            for k in (2, 3, 5):
+            for k in range(2, M.n - 5):
                 blk = stage_system(M, k).tagged_block()
                 Ak = A.eval_at(k)
                 for i in range(9):
@@ -333,6 +348,7 @@ class TestSolveStage:
             sys = stage_system(M, k)
             singular = sys.tagged_block_singular()
             assert singular == det(KMatrix(sys.tagged_block())).is_zero(), k
+            assert (solve_stage(sys).status == "resonant") == singular, k
             seen.add(singular)
         assert seen == {True, False}
 
