@@ -5,9 +5,10 @@ pure-z map (one coefficient per step, induction in l).  Each later stage k
 assembles the exact affine system relating the stage-k map coefficients
 f_{l,k-1}, g_{l,k} to the u-level-k coefficients of the transformed surface,
 solves it exactly by fraction-free elimination over the integers, applies
-the genuine transform, and verifies that the targeted coefficients really
-vanished.  The system is singular exactly when its distinguished 9x9 block
-is, so the solve also tells whether stage k is resonant.
+the genuine transform, and verifies that each targeted coefficient equals
+minus the leftover of the solve: zero unless its condition was dropped.
+The system is singular exactly when its distinguished 9x9 block is, so the
+solve also tells whether stage k is resonant.
 
 The affine system is exact because stage-k unknowns interact only above
 level k: every f-coefficient carries u-weight k-1 and lands in a slot worth
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalar import GaussianRational, ONE
+from .scalar import GaussianRational, ONE, ZERO
 from .series import FormalMap, HoloSeries2, Series3, compose_maps
 from .resonance import char_poly
 from .surface import (GraphSurface, _along_graph, _rho_gradient, check_u_linear_class, jet7,
@@ -60,34 +61,24 @@ class StageSystem:
     g_{l,k} (0 <= l <= Lg = N-k); conditions are the coefficients
     phi_{a0k} (0 <= a <= Lg), phi_{l1k} (3 <= l <= Lf) and the distinguished
     six of the complete normalization.  Counts match, so the matrix is
-    square.  Rows and columns are ordered with the non-distinguished ones
-    first so that elimination satisfies the always-solvable conditions
-    before the resonance-prone ones.
+    square.  Its entry (i, j) is ``numerators[i][j] / den``: integers over
+    one denominator for the whole system.  Rows and columns are ordered with
+    the non-distinguished ones first so that elimination satisfies the
+    always-solvable conditions before the resonance-prone ones; the
+    distinguished nine conditions and unknowns are the trailing ones.
     """
 
     k: int
-    order: int
     unknowns: list
     conditions: list
-    matrix: list
+    numerators: list
+    den: int
     rhs: list
-    tagged_rows: list
-    tagged_cols: list
 
     def tagged_block(self):
-        """The 9x9 block on the distinguished conditions/unknowns."""
-        return [[self.matrix[i][j] for j in self.tagged_cols] for i in self.tagged_rows]
-
-    def tagged_block_singular(self) -> bool:
-        rows = [_cleared(row)[1] for row in self.tagged_block()]
-        pivots, _ = _eliminate(rows, len(TAGGED_UNKNOWNS))
-        return len(pivots) < len(TAGGED_UNKNOWNS)
-
-
-def _cleared(row) -> tuple:
-    """(scale, integers): a rational row times the lcm of its denominators."""
-    scale = lcm(*(x.denominator for x in row))
-    return scale, [x.numerator * (scale // x.denominator) for x in row]
+        """The trailing 9x9 block, on the distinguished conditions/unknowns, in Fractions."""
+        t = len(TAGGED_UNKNOWNS)
+        return [[Fraction(x, self.den) for x in row[-t:]] for row in self.numerators[-t:]]
 
 
 def _eliminate(rows, ncols: int):
@@ -114,7 +105,7 @@ def _eliminate(rows, ncols: int):
     return pivots, dependent
 
 
-def _condition_list(k: int, lf: int, lg: int) -> list:
+def _condition_list(lf: int, lg: int) -> list:
     conds = [(0, 0, "re")]
     for a in range(2, lg + 1):
         conds.append((a, 0, "re"))
@@ -173,24 +164,24 @@ def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
     # u-levels above k is what later stages exist to remove
     check_u_linear_class(M_current, "stage system")
     lf, lg = n - 1 - k, n - k
-    conditions = _condition_list(k, lf, lg)
+    conditions = _condition_list(lf, lg)
     unknowns = _unknown_list(lf, lg)
     rows_at, cols_at = {}, {}
     for i, (a, b, part) in enumerate(conditions):
         rows_at.setdefault((a, b), [None, None])[part == "im"] = i
     for j, (kind, l, part) in enumerate(unknowns):
         cols_at.setdefault((kind, l), [None, None])[part == "im"] = j
-    # integer entries, each column over the common denominator of its base
+    # integer entries over one denominator, the lcm of both bases'
+    bases = _stage_bases(M_current, k)
+    den = lcm(*(v.den for base in bases for v in base.terms.values()))
     ints = [[0] * len(unknowns) for _ in conditions]
-    den = {}
     # a term lands on a slot (a, b) only if q <= b, or p <= b for its mirror
     reach = max(b for _, b, _ in conditions)
-    for kind, top, base in zip("fg", (lf, lg), _stage_bases(M_current, k)):
-        D = den[kind] = lcm(*(v.den for v in base.terms.values()))
+    for kind, top, base in zip("fg", (lf, lg), bases):
         for (p, q, _), v in base.terms.items():
             if min(p, q) > reach:
                 continue
-            x, y = v.nre * (D // v.den), v.nim * (D // v.den)
+            x, y = v.nre * (den // v.den), v.nim * (den // v.den)
             for l in range(top + 1):
                 re_col, im_col = cols_at[kind, l]
                 # c = 1 and c = i at (p + l, q); their conjugates at (q, p + l)
@@ -204,19 +195,12 @@ def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
                     if im_row is not None:
                         ints[im_row][re_col] += s * y
                         ints[im_row][im_col] += s * x
-    zero = Fraction(0)
-    dens = [den[kind] for kind, _, _ in unknowns]
-    rows = [[Fraction(x, d) if x else zero for x, d in zip(row, dens)] for row in ints]
     rhs = []
     for a, b, cpart in conditions:
         v = M_current.phi.coeff(a, b, k)
         rhs.append(-(v.re if cpart == "re" else v.im))
-    tagged_rows = [conditions.index(c) for c in TAGGED_CONDITIONS]
-    tagged_cols = [unknowns.index(u) for u in TAGGED_UNKNOWNS]
-    return StageSystem(
-        k=k, order=n, unknowns=unknowns, conditions=conditions,
-        matrix=rows, rhs=rhs, tagged_rows=tagged_rows, tagged_cols=tagged_cols,
-    )
+    return StageSystem(k=k, unknowns=unknowns, conditions=conditions,
+                       numerators=ints, den=den, rhs=rhs)
 
 
 @dataclass
@@ -234,9 +218,12 @@ class StageSolution:
 def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     """Exact solve by fraction-free elimination over the integers.
 
+    Row i, ``numerators[i] / den`` against the target num_i / d_i, is
+    multiplied by den * d_i into the integer row [x * d_i ..., num_i * den].
     The rows are reduced in condition order by ``_eliminate``, and the
     values come from back-substitution on the integer pivot rows over one
-    common denominator.  Nonsingular systems give the unique solution.
+    common denominator D, so row i leaves t / (den * d_i * D), t its integer
+    leftover.  Nonsingular systems give the unique solution.
     Singular ones: under "strict" raise, naming the stage as resonant; under
     "gauge_zero" the free variables (the non-pivot columns) are set to zero,
     inconsistent target equations are dropped and their leftover values
@@ -245,8 +232,9 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     if policy not in ("strict", "gauge_zero"):
         raise ValueError(f"unknown policy {policy!r}")
     ncols = len(sys.unknowns)
-    cleared = [_cleared(row + [b]) for row, b in zip(sys.matrix, sys.rhs)]
-    pivots, dependent = _eliminate([r for _, r in cleared], ncols)
+    rows = [[x * b.denominator for x in row] + [b.numerator * sys.den]
+            for row, b in zip(sys.numerators, sys.rhs)]
+    pivots, dependent = _eliminate(rows, ncols)
     dropped = [sys.conditions[i] for i, r in dependent if r[ncols]]
     pivot_cols = {col for col, _ in pivots}
     free = [u for j, u in enumerate(sys.unknowns) if j not in pivot_cols]
@@ -272,13 +260,13 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     values = [Fraction(0)] * ncols
     for j, x in scaled:
         values[j] = Fraction(x, D)
-    # re-check every equation on the cleared integer rows, against the
-    # solution over D, and collect leftover targets
+    # re-check every equation on the integer rows, against the solution
+    # over D, and collect leftover targets
     residuals = []
-    for cond, (scale, r) in zip(sys.conditions, cleared):
+    for cond, r, b in zip(sys.conditions, rows, sys.rhs):
         t = r[ncols] * D - sum(r[j] * x for j, x in scaled)
         if t:
-            residuals.append((cond, Fraction(t, scale * D)))
+            residuals.append((cond, Fraction(t, sys.den * b.denominator * D)))
     return StageSolution(
         k=sys.k,
         status="resonant" if singular else "solved",
@@ -378,7 +366,11 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
     The output satisfies every targeted condition at levels <= K except the
     distinguished ones dropped at resonant stages under gauge_zero.  Residue
     at levels above K is left in place.  The cumulative map composes all
-    stage maps.
+    stage maps.  The level-k block of the transform is affine in the stage
+    unknowns, so after stage k every condition slot phi_{abk} equals
+    -(left_re + i left_im), the leftovers ``solve_stage`` reports for it:
+    zero unless its condition was dropped.  A stage that breaks this
+    identity raises ``AssertionError``.
 
     ``resonances_observed`` lists the stages whose whole system is singular.
     That is the same as a singular distinguished 9x9 block.  On
@@ -389,6 +381,8 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
     det(9x9 block) times a nonzero factor.
     """
     n = M.n
+    if K < 1:
+        raise ValueError(f"K={K} must be at least 1")
     if K > n - 6:
         raise ValueError(f"K={K} too large for truncation order N={n} (need K <= N-6)")
     check_u_linear_class(M, "normalize", prenormalized=False)
@@ -404,21 +398,18 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
             observed.append(k)
         m_k = stage_map(sol, n)
         current = transform(current, m_k)
-        # exactness check: every non-dropped condition must now vanish
-        residuals = []
-        dropped_pairs = {(a, b) for a, b, _ in sol.dropped}
-        seen = set()
-        for a, b, _part in sys.conditions:
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
+        # the level-k block is affine in the unknowns, so every condition
+        # slot now holds minus the solve's leftover: zero unless dropped
+        expected = {}
+        for (a, b, part), x in sol.residuals:
+            x = GaussianRational(x) if part == "re" else GaussianRational(0, x)
+            expected[a, b] = expected.get((a, b), ZERO) - x
+        for a, b, _ in sys.conditions:
             v = current.phi.coeff(a, b, k)
-            if (a, b) in dropped_pairs:
-                if not v.is_zero():
-                    residuals.append(((a, b, k), v))
-            elif not v.is_zero():
+            if v != expected.get((a, b), ZERO):
                 raise AssertionError(
-                    f"stage k={k}: coefficient {(a, b, k)} = {v} survived the solve")
+                    f"stage k={k}: coefficient {(a, b, k)} = {v} is not the solve's leftover")
+        residuals = [((a, b, k), v) for (a, b), v in expected.items()]
         stages.append(StageRecord(k=k, status=sol.status, residuals=residuals, gauge=sol.free))
         total = compose_maps(m_k, total)
     return NormalizationResult(

@@ -174,6 +174,8 @@ def validate_class(M: GraphSurface) -> ClassReport:
 
 def coefficient(M: GraphSurface, a: int, b: int, c: int) -> GaussianRational:
     """phi_{abc}; c = 1 carries the u-linear entries phi_{ab}."""
+    if min(a, b, c) < 0:
+        raise ValueError(f"negative exponent in ({a}, {b}, {c})")
     if a + b + c > M.n:
         raise ValueError("beyond truncation order")
     return M.phi.coeff(a, b, c)

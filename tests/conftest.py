@@ -94,6 +94,15 @@ class Maker:
         )
 
 
+def _with_jet(M: GraphSurface, j: Jet7) -> GraphSurface:
+    """M with its u-linear 7-jet entries, and their conjugates, set to j."""
+    terms = dict(M.phi.terms)
+    for (a, b), v in (((2, 2), j.phi22), ((3, 2), j.phi32), ((3, 3), j.phi33),
+                      ((4, 2), j.phi42), ((4, 3), j.phi43)):
+        terms[(a, b, 1)], terms[(b, a, 1)] = v, v.conjugate()
+    return GraphSurface(Series3(M.n, terms))
+
+
 @pytest.fixture
 def make():
     return Maker(seed=20240811)

@@ -40,6 +40,7 @@ from nfc.series import (
 )
 from nfc.surface import (
     GraphSurface,
+    Jet7,
     check_normal_form,
     infinitesimal_defect,
     jet7,
@@ -50,7 +51,7 @@ from nfc.resonance import KMatrix, char_poly, det, matrix_A, matrix_B
 from nfc.normalizer import normalize, prenormalize_level1, stage_system
 from nfc.families import gen_Ht, gen_X, gen_cd, gen_mm, gen_mmt, gen_quadric
 
-from conftest import Maker
+from conftest import Maker, _with_jet
 from test_resonance import ge_poly, ge_poly_c0, mm_poly, proportional
 
 K = KPoly.k()
@@ -211,20 +212,26 @@ def test_criterion_8_resonance_iff_singular():
 
 
 def test_criterion_9_probing_vs_transcription():
+    # the class draws have zero 7-jets; the jet surfaces and the families
+    # reach the jet-dependent entries of matrix_A
     maker = Maker(seed=909)
-    ok = True
-    for _ in range(5):
-        M = maker.class_surface(11, nterms=6)
+    surfaces = [maker.class_surface(11, nterms=6) for _ in range(5)]
+    with_jet = [_with_jet(maker.class_surface(n, nterms=6), maker.jet())
+                for n in (11, 11, 13, 13)]
+    with_jet += [gen_mm(1, 12), gen_mm(2, 12), gen_mmt(2, 1, 12), gen_cd(3, -7, 12)]
+    ok = all(jet7(M) != Jet7.zero() for M in with_jet)
+    for M in surfaces + with_jet:
         A = matrix_A(jet7(M))
-        for k in (2, 3, 5):
+        for k in range(2, M.n - 5):
             blk = stage_system(M, k).tagged_block()
             Ak = A.eval_at(k)
             for i in range(9):
                 for j in range(9):
                     if Ak[i][j].im != 0 or Fraction(Ak[i][j].re) != blk[i][j]:
                         ok = False
-    report(9, ok, "stage-system 9x9 block equals the transcribed matrix at "
-                  "k in {2, 3, 5} on 5 random class surfaces")
+    report(9, ok, "stage-system 9x9 block equals the transcribed matrix at every "
+                  "k <= N - 6 on 5 zero-jet class surfaces, 4 surfaces with a random "
+                  "nonzero 7-jet, M_1, M_2, M_{2,1} and C = 3, D = -7")
 
 
 def test_criterion_10_series_kernel_properties():

@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -18,7 +19,6 @@ from nfc.normalizer import (
     StageSystem,
     TAGGED_CONDITIONS,
     TAGGED_UNKNOWNS,
-    _cleared,
     _condition_list,
     _eliminate,
     _unknown_list,
@@ -31,20 +31,16 @@ from nfc.normalizer import (
 )
 from nfc.families import gen_cd, gen_mm, gen_mmt, gen_quadric
 
-from conftest import Maker
+from conftest import Maker, _with_jet
 
 
 def surf(n, terms):
     return GraphSurface(Series3(n, terms))
 
 
-def _with_jet(M: GraphSurface, j: Jet7) -> GraphSurface:
-    """M with its u-linear 7-jet entries, and their conjugates, set to j."""
-    terms = dict(M.phi.terms)
-    for (a, b), v in (((2, 2), j.phi22), ((3, 2), j.phi32), ((3, 3), j.phi33),
-                      ((4, 2), j.phi42), ((4, 3), j.phi43)):
-        terms[(a, b, 1)], terms[(b, a, 1)] = v, v.conjugate()
-    return GraphSurface(Series3(M.n, terms))
+def entries(sys: StageSystem) -> list:
+    """The rational view of a stage system's rows: ``numerators[i][j] / den``."""
+    return [[Fraction(x, sys.den) for x in row] for row in sys.numerators]
 
 
 def genuine_probe_column(M: GraphSurface, k: int, kind: str, l: int, part: str) -> list:
@@ -58,7 +54,7 @@ def genuine_probe_column(M: GraphSurface, k: int, kind: str, l: int, part: str) 
     M2 = transform(M, m)
     lf, lg = n - 1 - k, n - k
     out = []
-    for a, b, cpart in _condition_list(k, lf, lg):
+    for a, b, cpart in _condition_list(lf, lg):
         v = M2.phi.coeff(a, b, k) - M.phi.coeff(a, b, k)
         out.append(v.re if cpart == "re" else v.im)
     return out
@@ -108,7 +104,10 @@ class TestStageSystem:
             lf, lg = 12 - 1 - k, 12 - k
             assert len(sys.unknowns) == 2 * (lf + 1) + 2 * (lg + 1)
             assert len(sys.conditions) == len(sys.unknowns)
-            assert len(sys.matrix) == len(sys.conditions)
+            assert len(sys.numerators) == len(sys.conditions)
+            # tagged_block reads the distinguished block off the trailing rows
+            assert sys.conditions[-9:] == list(TAGGED_CONDITIONS)
+            assert sys.unknowns[-9:] == list(TAGGED_UNKNOWNS)
 
     def test_tagged_block_equals_matrix_A(self, make):
         # the class draws have zero 7-jets; the jet surfaces and the families
@@ -135,7 +134,7 @@ class TestStageSystem:
             for label in (("f", 0, "re"), ("f", 1, "im"), ("g", 0, "re"),
                           ("g", 1, "im"), ("g", 2, "re"), ("f", 3, "re")):
                 j = sys.unknowns.index(label)
-                kernel_col = [sys.matrix[i][j] for i in range(len(sys.conditions))]
+                kernel_col = [row[j] for row in entries(sys)]
                 assert kernel_col == genuine_probe_column(M, k, *label)
 
     def test_columns_are_the_tangency_operator(self):
@@ -151,7 +150,7 @@ class TestStageSystem:
                 X = (unit, HoloSeries2(n)) if kind == "f" else (HoloSeries2(n), unit)
                 defect = infinitesimal_defect(M, *X)
                 expected = [getattr(defect.coeff(a, b, k), cpart) for a, b, cpart in sys.conditions]
-                assert [row[j] for row in sys.matrix] == expected, (k, kind, l, part)
+                assert [row[j] for row in entries(sys)] == expected, (k, kind, l, part)
                 checked += 1
         assert checked == 128
 
@@ -163,7 +162,7 @@ class TestStageSystem:
             sys = stage_system(q, k)
             row = sys.conditions.index((1, 1, "re"))
             col = sys.unknowns.index(("g", 0, "re"))
-            assert sys.matrix[row][col] == k - 1
+            assert entries(sys)[row][col] == k - 1
 
 
 def stage_system_reference(M, k):
@@ -171,7 +170,8 @@ def stage_system_reference(M, k):
 
     The first variation of the graph equation at level k, written out per
     unknown with the (1 - i psi) powers multiplied out; kept as the oracle
-    of ``stage_system``.
+    of ``stage_system``.  Returns (k, unknowns, conditions, rational rows, rhs),
+    to compare with ``rational(stage_system(M, k))``.
     """
     n = M.n
     n2 = n - k + 1
@@ -199,7 +199,7 @@ def stage_system_reference(M, k):
         return (A - Ab) * (half / I) - psi * ((A + Ab) * half)
 
     lf, lg = n - 1 - k, n - k
-    conditions = _condition_list(k, lf, lg)
+    conditions = _condition_list(lf, lg)
     unknowns = _unknown_list(lf, lg)
     columns = []
     for kind, l, part in unknowns:
@@ -211,18 +211,31 @@ def stage_system_reference(M, k):
     for a, b, cpart in conditions:
         v = M.phi.coeff(a, b, k)
         rhs.append(-(v.re if cpart == "re" else v.im))
-    return StageSystem(
-        k=k, order=n, unknowns=unknowns, conditions=conditions, matrix=rows, rhs=rhs,
-        tagged_rows=[conditions.index(c) for c in TAGGED_CONDITIONS],
-        tagged_cols=[unknowns.index(u) for u in TAGGED_UNKNOWNS],
-    )
+    return k, unknowns, conditions, rows, rhs
+
+
+def rational(sys: StageSystem) -> tuple:
+    """(k, unknowns, conditions, rational rows, rhs) of a stage system."""
+    return sys.k, sys.unknowns, sys.conditions, entries(sys), sys.rhs
+
+
+def _cleared(row) -> list:
+    """A rational row times the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
 def solve_stage_reference(sys):
-    """``solve_stage`` under gauge_zero, with the back-substitution in Fraction."""
+    """``solve_stage`` under gauge_zero, with the back-substitution in Fraction.
+
+    Each rational row is cleared by the lcm of its own denominators, not
+    scaled as ``solve_stage`` scales it, so the solve must not depend on
+    the scaling.
+    """
     ncols = len(sys.unknowns)
-    cleared = [_cleared(row + [b]) for row, b in zip(sys.matrix, sys.rhs)]
-    pivots, dependent = _eliminate([r for _, r in cleared], ncols)
+    matrix = entries(sys)
+    pivots, dependent = _eliminate([_cleared(row + [b]) for row, b in zip(matrix, sys.rhs)],
+                                   ncols)
     dropped = [sys.conditions[i] for i, r in dependent if r[ncols]]
     pivot_cols = {col for col, _ in pivots}
     free = [u for j, u in enumerate(sys.unknowns) if j not in pivot_cols]
@@ -230,7 +243,7 @@ def solve_stage_reference(sys):
     for col, r in reversed(pivots):
         values[col] = Fraction(r[ncols] - sum(x * v for x, v in zip(r, values) if v), r[col])
     residuals = []
-    for cond, row, b in zip(sys.conditions, sys.matrix, sys.rhs):
+    for cond, row, b in zip(sys.conditions, matrix, sys.rhs):
         left = b - sum(x * v for x, v in zip(row, values))
         if left:
             residuals.append((cond, left))
@@ -277,7 +290,7 @@ class TestStageAssembly:
         for M in self.SURFACES[name]():
             for k in range(2, M.n - 5):
                 sys = stage_system(M, k)
-                assert sys == stage_system_reference(M, k), (name, k)
+                assert rational(sys) == stage_system_reference(M, k), (name, k)
                 assert solve_stage(sys) == solve_stage_reference(sys), (name, k)
 
     def test_products_per_stage_do_not_grow_with_order(self, monkeypatch):
@@ -314,7 +327,7 @@ class TestSolveStage:
     def test_nonsingular_unique(self, make):
         M = make.class_surface(11, nterms=4)
         sys = stage_system(M, 2)
-        if sys.tagged_block_singular():
+        if det(KMatrix(sys.tagged_block())).is_zero():
             pytest.skip("random surface happened to be resonant at 2")
         sol = solve_stage(sys, "strict")
         assert sol.status == "solved" and not sol.free and not sol.residuals
@@ -324,9 +337,9 @@ class TestSolveStage:
 
     def test_m1_singular_at_resonances(self):
         m1 = gen_mm(1, 11)
-        assert stage_system(m1, 2).tagged_block_singular()
-        assert stage_system(m1, 3).tagged_block_singular()
-        assert not stage_system(m1, 4).tagged_block_singular()
+        assert det(KMatrix(stage_system(m1, 2).tagged_block())).is_zero()
+        assert det(KMatrix(stage_system(m1, 3).tagged_block())).is_zero()
+        assert not det(KMatrix(stage_system(m1, 4).tagged_block())).is_zero()
         with pytest.raises(ValueError, match="resonant"):
             solve_stage(stage_system(m1, 2), "strict")
 
@@ -339,27 +352,30 @@ class TestSolveStage:
             assert sol.values[label] == 0
 
     def test_singular_iff_det_zero(self, make):
-        # the elimination against the independent minor expansion of det
+        # the solve's elimination against the independent minor expansion of det
         cases = [(make.class_surface(11, nterms=6), k) for _ in range(3) for k in range(2, 6)]
         cases += [(gen_mm(1, 11), 2), (gen_mm(1, 11), 3), (gen_mm(2, 11), 3),
                   (gen_mm(2, 11), 5), (gen_mmt(2, 1, 11), 3)]
         seen = set()
         for M, k in cases:
             sys = stage_system(M, k)
-            singular = sys.tagged_block_singular()
-            assert singular == det(KMatrix(sys.tagged_block())).is_zero(), k
+            singular = det(KMatrix(sys.tagged_block())).is_zero()
             assert (solve_stage(sys).status == "resonant") == singular, k
             seen.add(singular)
         assert seen == {True, False}
 
-    def test_resonant_solve_pinned(self):
-        # under gauge_zero the pivot order decides which unknowns are free
-        # and which conditions are dropped; this run pins both
+    @staticmethod
+    def _resonant_surface():
+        """M_1 at N = 11 plus terms that leave leftovers at stages 2 and 3."""
         extra = {(2, 2, 2): 1, (3, 2, 2): GaussianRational(1, 2),
                  (2, 3, 2): GaussianRational(1, -2), (3, 3, 3): Fraction(1, 3),
                  (4, 2, 3): I, (2, 4, 3): -I, (5, 2, 2): 2, (2, 5, 2): 2}
-        M = GraphSurface(gen_mm(1, 11).phi + Series3(11, extra))
-        stages = normalize(M, 5).stages
+        return GraphSurface(gen_mm(1, 11).phi + Series3(11, extra))
+
+    def test_resonant_solve_pinned(self):
+        # under gauge_zero the pivot order decides which unknowns are free
+        # and which conditions are dropped; this run pins both
+        stages = normalize(self._resonant_surface(), 5).stages
         assert [(s.k, s.status) for s in stages] == [
             (2, "resonant"), (3, "resonant"), (4, "solved"), (5, "solved")]
         assert stages[0].gauge == [("f", 2, "re"), ("f", 2, "im")]
@@ -368,6 +384,19 @@ class TestSolveStage:
         assert stages[1].residuals == [((3, 3, 3), GaussianRational(Fraction(-7, 6)))]
         assert not stages[2].gauge and not stages[3].gauge
 
+    def test_stage_checks_the_solve_leftovers(self, monkeypatch):
+        # after the transform every condition slot holds minus the solve's
+        # leftover, so a solve that misreports a leftover fails its stage
+        real = nfc.normalizer.solve_stage
+
+        def doubled(sys, policy="gauge_zero"):
+            sol = real(sys, policy)
+            sol.residuals = [(cond, 2 * x) for cond, x in sol.residuals]
+            return sol
+
+        monkeypatch.setattr(nfc.normalizer, "solve_stage", doubled)
+        with pytest.raises(AssertionError, match=r"stage k=2: coefficient \(3, 2, 2\)"):
+            normalize(self._resonant_surface(), 5)
 
     def test_residuals_match_rational_recheck(self, make):
         # the integer re-check gives the leftovers of the plain Fraction
@@ -381,7 +410,7 @@ class TestSolveStage:
             sys = stage_system(M, k)
             sol = solve_stage(sys)
             expected = []
-            for cond, row, b in zip(sys.conditions, sys.matrix, sys.rhs):
+            for cond, row, b in zip(sys.conditions, entries(sys), sys.rhs):
                 left = b - sum(x * sol.values[u] for x, u in zip(row, sys.unknowns))
                 if left != 0:
                     expected.append((cond, left))
@@ -460,6 +489,11 @@ class TestNormalize:
     def test_K_bound(self):
         with pytest.raises(ValueError, match="too large"):
             normalize(gen_quadric(10), 5)
+
+    def test_K_below_1_rejected(self):
+        for K in (0, -3):
+            with pytest.raises(ValueError, match=f"K={K} must be at least 1"):
+                normalize(gen_quadric(10), K)
 
     def test_class_required(self):
         bad = surf(10, {(1, 1, 1): 4})

@@ -98,6 +98,12 @@ class TestCoefficient:
         with pytest.raises(ValueError, match="beyond truncation order"):
             coefficient(q, 4, 3, 1)
 
+    def test_negative_exponent_rejected(self):
+        q = gen_quadric(6)
+        for key in ((-1, 2, 1), (2, -1, 1), (1, 1, -1)):
+            with pytest.raises(ValueError, match="negative exponent"):
+                coefficient(q, *key)
+
 
 class TestJet7:
     def test_quadric_zero_jet(self):
