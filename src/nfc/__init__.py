@@ -23,7 +23,6 @@ from .series import (
     compose_maps,
     hermitian_conjugate,
     invert_map,
-    invert_real_triple,
     is_hermitian,
     split_real_imag,
     substitute,

@@ -233,14 +233,6 @@ def gaussian_to_obj(x: GaussianRational) -> dict:
     return {"re": rational_str(x.re), "im": rational_str(x.im)}
 
 
-def gaussian_from_obj(obj) -> GaussianRational:
-    if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
-        raise ValueError(f"not a GaussianRational object: {obj!r}")
-    re = parse_rational(obj.get("re", "0"))
-    im = parse_rational(obj.get("im", "0"))
-    return GaussianRational(re, im)
-
-
 class KPoly:
     """Polynomial in the stage index k over GaussianRational.
 

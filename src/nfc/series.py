@@ -30,9 +30,9 @@ them.  A product reduces each nonzero sum once, over Dl * Dr: one gcd per
 output coefficient instead of two per term pair.
 
 A composition is evaluated at a ``_Point``, which holds the power tables of
-its replacements as integer forms and can be shared: the passes of
-``invert_real_triple`` share the tables of Z and conj Z between G and F, and
-its last pass shares all three with the pull-back of ``transform``.
+its replacements as integer forms and can be shared: ``transform`` composes
+every homogeneous piece of the image surface at one point, and the passes of
+``invert_map`` share the table of the increment they do not update.
 Each group of terms is assembled as one integer form, carried through the
 head products unreduced, and summed with the other groups over one common
 denominator, so each output coefficient is reduced once.  At a real point
@@ -396,8 +396,8 @@ class _Point:
     to the lcm of its denominators, which makes it the cached integer form
     of the reduced power.  At a point (Z, conj Z, U) the powers of conj Z
     are read off those of Z by swapping z and zb and conjugating.  Every
-    series composed at the same point reuses the tables, and ``with_last``
-    makes a point that shares all tables but the last.
+    series composed at the same point reuses the tables, and ``replace``
+    makes a point that shares all tables but one.
     """
 
     __slots__ = ("repls", "n", "kind", "tables", "conjugate_heads", "real")
@@ -528,58 +528,6 @@ def substitute(s: _SparseSeries, *repls: _SparseSeries) -> _SparseSeries:
     return _Point(repls).compose(s)
 
 
-def invert_real_triple(z1: Series3, u1: Series3, *pull: Series3) -> tuple:
-    """Invert the graph parametrization (z, zb, u) -> (z1, conj z1, u1).
-
-    Returns (Z, U) in the image variables with Z(z1, conj z1, u1) = z and
-    U(z1, conj z1, u1) = u to order N.  z1 must be z plus terms that are at
-    least linear with the only admissible linear term a multiple of u (this
-    is what stage maps produce through w = u + i*phi); u1 must be Hermitian
-    and equal u plus terms of degree >= 2.  Each further series p in
-    ``pull``, which must have no term linear in z or zb, is pulled back to
-    the image variables too: p(Z, conj Z, U) is appended to the result.
-
-    With F = z1 - z and G = u1 - u, (Z, U) is the fixed point of
-    Z = z - F(Z, conj Z, U), U = u - G(Z, conj Z, U).  It is reached by a
-    precision ramp: for d = 0, ..., N one Gauss-Seidel pass at order d,
-    started from the order-(d-1) result Z', updates U first and then Z at
-    the point (Z', conj Z', U).  G has no linear term and F's only linear
-    term is a multiple of u, so each pass fixes degree d of both components,
-    and the order-d result is the order-d part of the inverse.  G is
-    Hermitian and the points are real, so G's compositions are halved.  The
-    pull-backs reuse the last pass's point and its power tables: Z - Z' is
-    homogeneous of degree N, so p takes the same value there to order N.
-    """
-    n = z1.n
-    if u1.n != n:
-        raise ValueError(f"mismatched truncation orders {u1.n} != {n}")
-    F = z1 - Series3.var("z", n)
-    G = u1 - Series3.var("u", n)
-    for key in F.terms:
-        if sum(key) <= 1 and key != (0, 0, 1):
-            raise ValueError("reversion requires identity linear part")
-    for key in G.terms:
-        if sum(key) <= 1:
-            raise ValueError("reversion requires identity linear part")
-    if not is_hermitian(u1):
-        raise ValueError("u-component of the triple must be Hermitian")
-    for p in pull:
-        if type(p) is not Series3:
-            raise TypeError("pulled-back series must be Series3")
-        if p.n != n:
-            raise ValueError(f"mismatched truncation orders {p.n} != {n}")
-        if (1, 0, 0) in p.terms or (0, 1, 0) in p.terms:
-            raise ValueError("pulled-back series must have no term linear in z or zb")
-    Z = U = Series3(0)
-    for d in range(n + 1):
-        Z = Z.truncate(d)
-        point = _Point((Z, hermitian_conjugate(Z), U.truncate(d)))
-        U = Series3.var("u", d) - point.compose(G.truncate(d))
-        point = point.replace(2, U)
-        Z = Series3.var("z", d) - point.compose(F.truncate(d))
-    return (Z, U, *(point.compose(p) for p in pull))
-
-
 class FormalMap:
     """The map (z, w) -> (z + f(z,w), w + g(z,w)).
 
@@ -638,11 +586,13 @@ def invert_map(m: FormalMap) -> FormalMap:
     """Inverse map: compose_maps(m, invert_map(m)) is the identity to order N.
 
     The inverse increments fi = -f(z + fi, w + gi), gi = -g(z + fi, w + gi)
-    come from the precision ramp of ``invert_real_triple``.  Pass d first
-    updates the increment whose series has no linear term (g when g10 = 0,
-    else f), then the other one at the point with the new increment.  That
-    needs a unipotent 1-jet, f01 * g10 = 0, which every pipeline map has
-    (g(z, 0) = 0).  Any other map raises ValueError, even an invertible one
+    come from a precision ramp: for d = 0, ..., N one Gauss-Seidel pass at
+    order d, started from the order-(d-1) increments, fixes degree d of both.
+    Pass d first updates the increment whose series has no linear term (g
+    when g10 = 0, else f), then the other one at the point with the new
+    increment, which shares the other power table.  That needs a unipotent
+    1-jet, f01 * g10 = 0, which every pipeline map has (g(z, 0) = 0).
+    Any other map raises ValueError, even an invertible one
     such as f = w/2, g = z/2: the diagonal of its inverse's 1-jet is
     1/(1 - f01 * g10) != 1, so that inverse is no FormalMap.
     """

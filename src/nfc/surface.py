@@ -23,10 +23,8 @@ from .series import (
     Series3,
     _Point,
     hermitian_conjugate,
-    invert_real_triple,
     is_hermitian,
     split_real_imag,
-    substitute,
 )
 
 
@@ -298,30 +296,55 @@ def _rho_gradient(phi: Series3) -> tuple:
     return -phi.diff("z"), Series3(phi.n, {(0, 0, 0): half / I}) - phi.diff("u") * half
 
 
-def _image_side(M: GraphSurface, m: FormalMap):
-    """Common forward data: z1, u1, v1 along w = u + i phi."""
+def _image_point(M: GraphSurface, m: FormalMap) -> tuple:
+    """The image of M's graph point: (T, v1) with T = (z1, conj z1, u1).
+
+    Along w = u + i phi the map sends (z, w) to (z1, u1 + i v1), so a surface
+    phi' holds the image iff phi'(T) = v1.  T is a real point, at which the
+    Hermitian phi' composes from half of its groups.
+    """
     n = M.n
     if m.n != n:
         raise ValueError(f"mismatched truncation orders {m.n} != {n}")
     f_here, g_here = _along_graph(M.phi, m.f, m.g)
     re_part, im_part = split_real_imag(g_here)
-    return Series3.var("z", n) + f_here, Series3.var("u", n) + re_part, M.phi + im_part
+    z1 = Series3.var("z", n) + f_here
+    return _Point((z1, hermitian_conjugate(z1), Series3.var("u", n) + re_part)), M.phi + im_part
 
 
 def transform(M: GraphSurface, m: FormalMap) -> GraphSurface:
     """The image surface under (z, w) -> (z + f, w + g), to order N.
 
-    Parametrize M by (z, zb, u) with w = u + i phi, push forward, invert the
-    base triple (z1, conj z1, u1), and read the graphing function off the
-    imaginary part v1 in image coordinates.  The reversion pulls v1 back
-    itself, at the point of its last pass, so the powers built there serve
-    v1 too.  v1 has no term linear in z or zb: phi has none, and a g10 term
-    would give u1 a linear part, which the reversion rejects.  v1 is
-    Hermitian, so half of its groups are computed and the rest mirrored.
+    The image phi' is the unique solution of phi'(T) = v1 (see
+    ``_image_point``), solved degree by degree at the one point T.  With
+    g10 = 0, T = L + (terms of degree >= 2), where L is z -> z + c u and c
+    is f01.  Let Y be the sum of the homogeneous pieces phi'_e, e < d,
+    each composed at T; a composition is linear in the series.  The
+    degree-d part of phi'(T) = v1 reads phi'_d(L) = [v1 - Y]_d, so phi'_d
+    is that residual composed with the degree-preserving
+    L^-1 = (z - c u, zb - conj(c) u, u), and adding phi'_d(T) to Y clears
+    degree d of v1 - Y.  Each piece is composed once, and the power tables
+    of T are built once.  A g10 term would give T and v1 a part linear in
+    z and zb, so such a map is rejected.
     """
-    z1, u1, v1 = _image_side(M, m)
-    _, _, phi_new = invert_real_triple(z1, u1, v1)
-    return GraphSurface(phi_new)
+    g10 = m.g.coeff(1, 0)
+    if not g10.is_zero():
+        raise ValueError(f"transform needs a map whose g has no z-linear term; got g10 = {g10}")
+    T, v1 = _image_point(M, m)
+    n, c = M.n, m.f.coeff(0, 1)
+    u = Series3.var("u", n)
+    back = None if c.is_zero() else _Point((Series3.var("z", n) - u * c,
+                                            Series3.var("zb", n) - u * c.conjugate(), u))
+    phi: dict = {}
+    rest = v1           # v1 - Y, whose lowest degree is d
+    for d in range(2, n + 1):
+        piece = Series3._make(n, {key: v for key, v in rest.terms.items() if sum(key) == d})
+        if back is not None:
+            piece = back.compose(piece)
+        phi.update(piece.terms)
+        if d < n and piece.terms:
+            rest = rest + T.compose(-piece)
+    return GraphSurface(Series3._make(n, phi))
 
 
 def map_defect(M: GraphSurface, m: FormalMap, Mtarget: GraphSurface) -> Series3:
@@ -329,12 +352,10 @@ def map_defect(M: GraphSurface, m: FormalMap, Mtarget: GraphSurface) -> Series3:
 
     Zero iff m maps M into Mtarget to order N.
     """
-    z1, u1, v1 = _image_side(M, m)
-    n = M.n
-    if Mtarget.n != n:
-        raise ValueError(f"mismatched truncation orders {Mtarget.n} != {n}")
-    rhs = substitute(Mtarget.phi, z1, hermitian_conjugate(z1), u1)
-    return v1 - rhs
+    T, v1 = _image_point(M, m)
+    if Mtarget.n != M.n:
+        raise ValueError(f"mismatched truncation orders {Mtarget.n} != {M.n}")
+    return v1 - T.compose(Mtarget.phi)
 
 
 def infinitesimal_defect(M: GraphSurface, X_z: HoloSeries2, X_w: HoloSeries2) -> Series3:

@@ -9,7 +9,10 @@ import pytest
 
 from nfc.scalar import GaussianRational, ZERO
 from nfc.series import FormalMap, HoloSeries2, Series3, hermitian_conjugate
-from nfc.surface import GraphSurface, Jet7
+from nfc.surface import GraphSurface, Jet7, jet7
+from nfc.resonance import matrix_A
+from nfc.normalizer import stage_system
+from nfc.families import gen_cd, gen_mm, gen_mmt
 
 
 class Maker:
@@ -101,6 +104,31 @@ def _with_jet(M: GraphSurface, j: Jet7) -> GraphSurface:
                       ((4, 2), j.phi42), ((4, 3), j.phi43)):
         terms[(a, b, 1)], terms[(b, a, 1)] = v, v.conjugate()
     return GraphSurface(Series3(M.n, terms))
+
+
+def tagged_block_mismatches(make: Maker) -> list:
+    """Where the stage-system 9x9 block differs from the transcribed matrix_A.
+
+    Probes every k <= N - 6 on 5 class draws of ``make``, which have zero
+    7-jets, and on surfaces that reach the jet-dependent entries: 4 draws
+    with a random nonzero 7-jet (N = 11, 11, 13, 13), M_1, M_2, M_{2,1} and
+    C = 3, D = -7.  Returns (surface, k, i, j) for each differing entry, and
+    (surface, "zero jet") for each of the latter whose 7-jet is zero.
+    """
+    surfaces = [make.class_surface(11, nterms=6) for _ in range(5)]
+    with_jet = [_with_jet(make.class_surface(n, nterms=6), make.jet())
+                for n in (11, 11, 13, 13)]
+    with_jet += [gen_mm(1, 12), gen_mm(2, 12), gen_mmt(2, 1, 12), gen_cd(3, -7, 12)]
+    out = [(trial, "zero jet") for trial, M in enumerate(with_jet, len(surfaces))
+           if jet7(M) == Jet7.zero()]
+    for trial, M in enumerate(surfaces + with_jet):
+        A = matrix_A(jet7(M))
+        for k in range(2, M.n - 5):
+            blk = stage_system(M, k).tagged_block()
+            Ak = A.eval_at(k)
+            out += [(trial, k, i, j) for i in range(9) for j in range(9)
+                    if Ak[i][j] != GaussianRational(blk[i][j])]
+    return out
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of ``nfc`` imports is used in it."""
+"""Source hygiene: every name a module of ``nfc`` imports is used in it, and
+every name it defines is used or exported."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,52 @@ def test_scan_flags_unreferenced_private_names():
                      "    return x._B + len([_C])\n")
     assert sorted(n for n in private_definitions(tree) if n not in referenced_names(tree)) == [
         "_B", "_f"]
+
+
+def public_definitions(tree: ast.Module) -> dict:
+    """Module-level public function and class names -> line number."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def dead_public_names(trees: dict) -> list:
+    """(name, line, module) of each public function or class that
+    ``__init__.py`` does not export and that no module of the package reads.
+
+    trees maps a file name of the package to its parsed source.
+    """
+    exported = {alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    refs = set().union(*map(referenced_names, trees.values()))
+    return sorted((name, line, module) for module, tree in trees.items()
+                  for name, line in public_definitions(tree).items()
+                  if name not in exported and name not in refs)
+
+
+def test_no_dead_public_names():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    dead = dead_public_names(trees)
+    assert dead == [], f"public names neither exported by nfc nor referenced in it: {dead}"
+
+
+def test_scan_flags_unreferenced_public_names():
+    trees = {
+        "__init__.py": ast.parse("from .a import F\n"),
+        "a.py": ast.parse("def F():\n"
+                          "    return 1\n"
+                          "def g():\n"
+                          "    pass\n"
+                          "class H:\n"
+                          "    pass\n"
+                          "def k(x: 'int') -> 'H':\n"
+                          "    return H()\n"
+                          "def _p():\n"
+                          "    pass\n"
+                          "V = 1\n"),
+        "b.py": ast.parse("from .a import g\n"
+                          "class Q:\n"
+                          "    def k(self):\n"
+                          "        return 'k'\n"),
+    }
+    assert [name for name, _, _ in dead_public_names(trees)] == ["Q", "k"]

@@ -14,7 +14,6 @@ from nfc.series import (
     compose_maps,
     hermitian_conjugate,
     invert_map,
-    invert_real_triple,
     is_hermitian,
     split_real_imag,
     substitute,
@@ -605,6 +604,60 @@ class TestHermitian:
             a = make.hermitian_series3(7)
             b = make.hermitian_series3(7)
             assert is_hermitian(a * b)
+
+
+def invert_real_triple(z1: Series3, u1: Series3, *pull: Series3) -> tuple:
+    """Reference for ``transform``: invert (z, zb, u) -> (z1, conj z1, u1).
+
+    Returns (Z, U) in the image variables with Z(z1, conj z1, u1) = z and
+    U(z1, conj z1, u1) = u to order N.  z1 must be z plus terms that are at
+    least linear with the only admissible linear term a multiple of u (this
+    is what stage maps produce through w = u + i*phi); u1 must be Hermitian
+    and equal u plus terms of degree >= 2.  Each further series p in
+    ``pull``, which must have no term linear in z or zb, is pulled back to
+    the image variables too: p(Z, conj Z, U) is appended to the result.
+
+    With F = z1 - z and G = u1 - u, (Z, U) is the fixed point of
+    Z = z - F(Z, conj Z, U), U = u - G(Z, conj Z, U).  It is reached by a
+    precision ramp: for d = 0, ..., N one Gauss-Seidel pass at order d,
+    started from the order-(d-1) result Z', updates U first and then Z at
+    the point (Z', conj Z', U).  G has no linear term and F's only linear
+    term is a multiple of u, so each pass fixes degree d of both components,
+    and the order-d result is the order-d part of the inverse.  G is
+    Hermitian and the points are real, so G's compositions are halved.  The
+    pull-backs reuse the last pass's point and its power tables: Z - Z' is
+    homogeneous of degree N, so p takes the same value there to order N.
+    The image of M under a map is the pull-back of v1 (see
+    ``tests/test_surface.py``).
+    """
+    n = z1.n
+    if u1.n != n:
+        raise ValueError(f"mismatched truncation orders {u1.n} != {n}")
+    F = z1 - Series3.var("z", n)
+    G = u1 - Series3.var("u", n)
+    for key in F.terms:
+        if sum(key) <= 1 and key != (0, 0, 1):
+            raise ValueError("reversion requires identity linear part")
+    for key in G.terms:
+        if sum(key) <= 1:
+            raise ValueError("reversion requires identity linear part")
+    if not is_hermitian(u1):
+        raise ValueError("u-component of the triple must be Hermitian")
+    for p in pull:
+        if type(p) is not Series3:
+            raise TypeError("pulled-back series must be Series3")
+        if p.n != n:
+            raise ValueError(f"mismatched truncation orders {p.n} != {n}")
+        if (1, 0, 0) in p.terms or (0, 1, 0) in p.terms:
+            raise ValueError("pulled-back series must have no term linear in z or zb")
+    Z = U = Series3(0)
+    for d in range(n + 1):
+        Z = Z.truncate(d)
+        point = _Point((Z, hermitian_conjugate(Z), U.truncate(d)))
+        U = Series3.var("u", d) - point.compose(G.truncate(d))
+        point = point.replace(2, U)
+        Z = Series3.var("z", d) - point.compose(F.truncate(d))
+    return (Z, U, *(point.compose(p) for p in pull))
 
 
 def full_order_reversion(z1, u1):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nfc.scalar import GaussianRational, I, ONE, ZERO
-from nfc.series import FormalMap, HoloSeries2, Series3, hermitian_conjugate, is_hermitian
+from nfc.series import FormalMap, HoloSeries2, Series3, is_hermitian, split_real_imag, substitute
 from nfc.surface import (
     GraphSurface,
     check_normal_form,
@@ -20,6 +20,11 @@ from nfc.surface import (
     validate_class,
 )
 from nfc.families import gen_Ht, gen_X, gen_cd, gen_mm, gen_mmt, gen_quadric
+from nfc.normalizer import normalize
+import nfc.normalizer
+
+from test_normalizer import _messy_surface
+from test_series import invert_real_triple
 
 
 def S(n, terms):
@@ -240,6 +245,53 @@ class TestTransform:
             for (a, b, c), v in M.phi.terms.items():
                 if c == 1 and a >= 2 and b >= 2:
                     assert out.phi.coeff(a, b, 1) == v
+
+
+def transform_reference(M: GraphSurface, m: FormalMap) -> GraphSurface:
+    """The image surface by reversion: push M's graph point (z, u + i phi)
+    forward to (z1, u1 + i v1), invert (z1, conj z1, u1) and pull v1 back."""
+    n = M.n
+    z = Series3.var("z", n)
+    w = Series3.var("u", n) + M.phi * I
+    re_part, im_part = split_real_imag(substitute(m.g, z, w))
+    z1 = z + substitute(m.f, z, w)
+    return GraphSurface(invert_real_triple(z1, Series3.var("u", n) + re_part, M.phi + im_part)[2])
+
+
+class TestTransformAgainstReversion:
+    """The degree-by-degree solve against the reversion it replaced."""
+
+    def test_random_maps(self, make):
+        for i in range(12):
+            n = 7 + i % 4
+            M = make.class_surface(n, nterms=6, prenormalized=i % 3 != 0)
+            m = make.formal_map(n, 4)
+            if i % 2:   # f01 != 0 makes the linear part L of the image point nontrivial
+                m = FormalMap(HoloSeries2(n, {**m.f.terms, (0, 1): make.gaussian(3) or I}), m.g)
+                assert not m.f.coeff(0, 1).is_zero()
+            assert transform(M, m) == transform_reference(M, m), i
+
+    def test_stage_maps_of_normalize(self, monkeypatch):
+        # every map normalize applies to the surface of test_messy_surface_full_run
+        calls = []
+
+        def recording(M, m):
+            out = transform(M, m)
+            calls.append((M, m, out))
+            return out
+
+        monkeypatch.setattr(nfc.normalizer, "transform", recording)
+        normalize(_messy_surface(13), 7)
+        assert len(calls) >= 6
+        assert any(not m.f.coeff(0, 1).is_zero() for _, m, _ in calls)
+        for M, m, out in calls:
+            assert out == transform_reference(M, m)
+
+    def test_rejects_z_linear_g_term(self):
+        M = gen_cd(1, -3, 9)
+        m = FormalMap(HoloSeries2(9), HoloSeries2(9, {(1, 0): GaussianRational(2, 1)}))
+        with pytest.raises(ValueError, match=r"g has no z-linear term; got g10 = \(2 \+ 1\*i\)"):
+            transform(M, m)
 
 
 class TestMapDefect:
