@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalar import GaussianRational, ONE
-from .series import (FormalMap, HoloSeries2, Series1, Series3, invert_map, substitute,
-                     uni_function)
+from .series import FormalMap, HoloSeries2, Series1, Series3, _Point, substitute, uni_function
 from .surface import GraphSurface, validate_class
 
 
@@ -105,18 +104,16 @@ def solve_qT(T, order: int) -> Series1:
 
     Separating variables, (cot q + T) dq = du/u integrates to
     sin(q) e^{Tq} = u, so q_T is the compositional inverse of
-    s(x) = sin(x) e^{Tx} = Im exp((T + i) x).  ``invert_map`` reverts the
-    pure-z map z -> s(z), and q_T(u) = u + f(u, 0) for its inverse's f.
+    s(x) = sin(x) e^{Tx} = Im exp((T + i) x), and q_T(s) = x is solved at
+    the one point s.
     """
     if order < 2:
         raise ValueError("need order >= 2 for the defining ODE")
     T = Fraction(T)
     x = Series1.var("x", order)
     e = substitute(uni_function("exp", order), x * GaussianRational(T, 1))
-    # s(z) - z, the z-increment of a map that leaves w fixed
-    s_inc = HoloSeries2(order, {(j, 0): c.im for (j,), c in e.terms.items() if j > 1})
-    f = invert_map(FormalMap(s_inc, HoloSeries2(order))).f
-    q = x + Series1(order, {(j,): c for (j, _), c in f.terms.items()})
+    s = Series1(order, {key: c.im for key, c in e.terms.items()})
+    q = _Point((s,)).solve(x)
     # defensive residual check of the defining ODE, as u q' (1 + T tan q) = tan q
     tq = substitute(uni_function("tan", order), q)
     if q.diff("x") * x * (1 + tq * T) != tq:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import GaussianRational, KPoly, ONE, integer_roots_ge2, make_monic
+from .scalar import GaussianRational, KPoly, ONE, _as_kpoly, integer_roots_ge2, make_monic
 from .surface import Jet7
 
 
@@ -34,7 +34,7 @@ class KMatrix:
             if len(r) != n:
                 raise ValueError("KMatrix must be square")
         object.__setattr__(self, "dimension", n)
-        object.__setattr__(self, "entries", tuple(tuple(_kp(e) for e in r) for r in rows))
+        object.__setattr__(self, "entries", tuple(tuple(_as_kpoly(e) for e in r) for r in rows))
 
     def __setattr__(self, *args):
         raise AttributeError("KMatrix is immutable")
@@ -48,23 +48,13 @@ class KMatrix:
         return [[e(kk) for e in row] for row in self.entries]
 
 
-def _kp(x) -> KPoly:
-    if isinstance(x, KPoly):
-        return x
-    return KPoly.constant(x)
-
-
-def _k() -> KPoly:
-    return KPoly.k()
-
-
 def matrix_A(j: Jet7) -> KMatrix:
     """The 9x9 stage matrix over KPoly.
 
     Rows: Re d10, Im d10, d11, Re d21, Im d21, d22, Re d32, Im d32, d33.
     Columns: Re g1, Im g1, Re f0, Im f0, Re g0, Re f1, Im f1, Re f2, Im f2.
     """
-    k = _k()
+    k = KPoly.k()
     half = Fraction(1, 2)
     p = GaussianRational(j.phi22.re)
     q = GaussianRational(j.phi33.re)
@@ -77,37 +67,37 @@ def matrix_A(j: Jet7) -> KMatrix:
     c2 = km1 * (k - 2) * half                      # (k-1)(k-2)/2
     g0_33 = km1 * q + k * km1 * (KPoly.constant(5) - k) * Fraction(1, 6)
     return KMatrix([
-        [0, _kp(half), _kp(-1), 0, 0, 0, 0, 0, 0],
-        [_kp(-half), 0, 0, _kp(1), 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, km1, _kp(-2), 0, 0, 0],
-        [km1 * half, 0, _kp(-2 * p), km1, 0, 0, 0, _kp(-1), 0],
-        [0, km1 * half, km1, _kp(2 * p), 0, 0, 0, 0, _kp(-1)],
-        [0, 0, _kp(-6 * Rr), _kp(6 * Ir), km1 * p, _kp(-4 * p), 2 * km1, 0, 0],
-        [km1 * (p * half), -kk3_4, c2 - (3 * q + 4 * Rs), 3 * km1 * p + _kp(4 * Is),
-         km1 * Rr, _kp(-5 * Rr), _kp(Ir), _kp(-2 * p), km1],
-        [kk3_4, km1 * (p * half), 3 * km1 * p - _kp(4 * Is), -c2 + (3 * q - 4 * Rs),
-         km1 * Ir, _kp(-5 * Ir), _kp(-Rr), -km1, _kp(-2 * p)],
-        [km1 * Rr, km1 * Ir, 8 * km1 * Ir - _kp(8 * Rt), 8 * km1 * Rr + _kp(8 * It),
-         g0_33, km1 * (k - 2) - _kp(6 * q), 6 * km1 * p, _kp(-4 * Rr), _kp(-4 * Ir)],
+        [0, half, -1, 0, 0, 0, 0, 0, 0],
+        [-half, 0, 0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, km1, -2, 0, 0, 0],
+        [km1 * half, 0, -2 * p, km1, 0, 0, 0, -1, 0],
+        [0, km1 * half, km1, 2 * p, 0, 0, 0, 0, -1],
+        [0, 0, -6 * Rr, 6 * Ir, km1 * p, -4 * p, 2 * km1, 0, 0],
+        [km1 * (p * half), -kk3_4, c2 - (3 * q + 4 * Rs), 3 * km1 * p + 4 * Is,
+         km1 * Rr, -5 * Rr, Ir, -2 * p, km1],
+        [kk3_4, km1 * (p * half), 3 * km1 * p - 4 * Is, -c2 + (3 * q - 4 * Rs),
+         km1 * Ir, -5 * Ir, -Rr, -km1, -2 * p],
+        [km1 * Rr, km1 * Ir, 8 * km1 * Ir - 8 * Rt, 8 * km1 * Rr + 8 * It,
+         g0_33, km1 * (k - 2) - 6 * q, 6 * km1 * p, -4 * Rr, -4 * Ir],
     ])
 
 
 def matrix_B(j: Jet7) -> KMatrix:
     """The 4x4 reduction of matrix_A: det A = 1/4 (k-1) det B."""
-    k = _k()
+    k = KPoly.k()
     p = GaussianRational(j.phi22.re)
     q = GaussianRational(j.phi33.re)
     Rr, Ir = GaussianRational(j.phi32.re), GaussianRational(j.phi32.im)
     Rs, Is = GaussianRational(j.phi42.re), GaussianRational(j.phi42.im)
     Rt, It = GaussianRational(j.phi43.re), GaussianRational(j.phi43.im)
     km1 = k - 1
-    core = 2 * k * k - 4 * k + KPoly.constant(3) + _kp(4 * p * p - 3 * q)
+    core = 2 * k * k - 4 * k + KPoly.constant(3) + 4 * p * p - 3 * q
     return KMatrix([
-        [_kp(-6 * Rr), _kp(6 * Ir), _kp(-2 * p), 2 * km1],
-        [core - _kp(4 * Rs), 2 * km1 * p + _kp(4 * Is), _kp(-3 * Rr), _kp(Ir)],
-        [2 * km1 * p - _kp(4 * Is), -(core + _kp(4 * Rs)), _kp(-3 * Ir), _kp(-Rr)],
-        [2 * km1 * Ir + _kp(8 * (p * Rr - Rt)), 2 * km1 * Rr + _kp(8 * (It - p * Ir)),
-         (k * k - 2 * k + KPoly.constant(3)) * Fraction(2, 3) - _kp(4 * q), 6 * km1 * p],
+        [-6 * Rr, 6 * Ir, -2 * p, 2 * km1],
+        [core - 4 * Rs, 2 * km1 * p + 4 * Is, -3 * Rr, Ir],
+        [2 * km1 * p - 4 * Is, -(core + 4 * Rs), -3 * Ir, -Rr],
+        [2 * km1 * Ir + 8 * (p * Rr - Rt), 2 * km1 * Rr + 8 * (It - p * Ir),
+         (k * k - 2 * k + KPoly.constant(3)) * Fraction(2, 3) - 4 * q, 6 * km1 * p],
     ])
 
 

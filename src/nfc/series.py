@@ -30,15 +30,19 @@ them.  A product reduces each nonzero sum once, over Dl * Dr: one gcd per
 output coefficient instead of two per term pair.
 
 A composition is evaluated at a ``_Point``, which holds the power tables of
-its replacements as integer forms and can be shared: ``transform`` composes
-every homogeneous piece of the image surface at one point, and the passes of
-``invert_map`` share the table of the increment they do not update.
-Each group of terms is assembled as one integer form, carried through the
-head products unreduced, and summed with the other groups over one common
-denominator, so each output coefficient is reduced once.  At a real point
-(Z, conj Z, U) with U Hermitian, a Hermitian series is composed from half
-of its groups and the Hermitian conjugate of their sum, and the powers of
-conj Z are the conjugates of the powers of Z.
+its replacements as integer forms and can be shared.  Each group of terms is
+assembled as one integer form, carried through the head products unreduced,
+and summed with the other groups over one common denominator, so each output
+coefficient is reduced once.  At a real point (Z, conj Z, U) with U
+Hermitian, a Hermitian series is composed from half of its groups and the
+Hermitian conjugate of their sum, and the powers of conj Z are the
+conjugates of the powers of Z.
+
+Every series inversion is one ``_Point.solve``: the series s with
+s(point) = rhs, found degree by degree at the one point, so the tables are
+built once.  ``transform`` solves for the image surface, ``invert_map`` for
+the increments of the inverse map, and the families' q_T is the reversion
+of a ``Series1``.
 """
 
 from __future__ import annotations
@@ -282,11 +286,6 @@ class _SparseSeries:
             out[tuple(nk)] = val * e
         return self._make(self.n, out)
 
-    def truncate(self, n: int):
-        if n == self.n:
-            return self
-        return type(self)(n, {k: v for k, v in self.terms.items() if sum(k) <= n})
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, {len(self.terms)} terms)"
 
@@ -384,10 +383,6 @@ def _swap(key: int, B: int) -> int:
 _ONE_FORM = (1, [(0, 0, 1, 0)])
 
 
-def _power_table(r: _SparseSeries) -> list:
-    return [_ONE_FORM, r._integer_form()]
-
-
 class _Point:
     """Replacements (r1, ..., rm) at which sparse series are evaluated.
 
@@ -396,28 +391,22 @@ class _Point:
     to the lcm of its denominators, which makes it the cached integer form
     of the reduced power.  At a point (Z, conj Z, U) the powers of conj Z
     are read off those of Z by swapping z and zb and conjugating.  Every
-    series composed at the same point reuses the tables, and ``replace``
-    makes a point that shares all tables but one.
+    series composed or solved for at the same point reuses the tables.
     """
 
     __slots__ = ("repls", "n", "kind", "tables", "conjugate_heads", "real")
 
-    def __init__(self, repls: tuple, tables=None):
+    def __init__(self, repls: tuple):
         self.repls = repls
         self.n = repls[0].n
         self.kind = type(repls[0])
-        self.tables = tables if tables is not None else [_power_table(r) for r in repls]
+        self.tables = [[_ONE_FORM, r._integer_form()] for r in repls]
         #: (Z, conj Z, ...): the powers of conj Z are the conjugates of Z's
         self.conjugate_heads = (self.kind is Series3 and len(repls) == 3
                                 and _conjugates(repls[0], repls[1]))
         #: (Z, conj Z, U) with U Hermitian: a series that is Hermitian in
         #: (z, zb, u) then composes to a Hermitian series
         self.real = self.conjugate_heads and is_hermitian(repls[2])
-
-    def replace(self, i: int, r: _SparseSeries) -> "_Point":
-        """The point with replacement i swapped for r; the other tables are shared."""
-        return _Point(self.repls[:i] + (r,) + self.repls[i + 1:],
-                      self.tables[:i] + [_power_table(r)] + self.tables[i + 1:])
 
     def power(self, i: int, e: int) -> tuple:
         """Integer form (D, rows) of the e-th power of replacement i."""
@@ -493,6 +482,42 @@ class _Point:
                     t[0] += sr
                     t[1] += im
         return kind._make(n, kind._unpack(_reduced(out, D), n + 1))
+
+    def solve(self, rhs: _SparseSeries) -> _SparseSeries:
+        """The series s with s at this point equal to rhs, to order N.
+
+        The point has one replacement per variable of rhs, and its linear
+        part is L = 1 + E with E^2 = 0, so L^-1 = 2 - L; any other point
+        raises ValueError.  Let Y be the sum of the homogeneous pieces s_e,
+        e < d, each composed at this point; a composition is linear in the
+        series.  The degree-d part of s(point) = rhs reads s_d(L) = [rhs - Y]_d,
+        so s_d is that residual composed with the degree-preserving L^-1, and
+        adding s_d(point) to Y clears degree d of rhs - Y.  Each piece is
+        composed once, and the power tables of the point are built once
+        (Brent & Kung, J. ACM 25, 1978).
+        """
+        n, kind = self.n, self.kind
+        if len(self.repls) != len(kind.VARS):
+            raise ValueError(f"solve needs one replacement per variable of {kind.__name__}")
+        xs = tuple(kind.var(x, n) for x in kind.VARS)
+        lin = [kind._make(n, {key: v for key, v in r.terms.items() if sum(key) == 1})
+               for r in self.repls]
+        inv = tuple(x * 2 - l for x, l in zip(xs, lin))
+        back = _Point(inv)
+        if any(back.compose(l) != x for l, x in zip(lin, xs)):
+            raise ValueError("solve needs a linear part L = 1 + E with E^2 = 0")
+        if inv == xs:
+            back = None
+        out: dict = {}
+        rest = rhs          # rhs - Y, whose lowest degree is d
+        for d in range(rhs.min_degree(), n + 1):
+            piece = kind._make(n, {key: v for key, v in rest.terms.items() if sum(key) == d})
+            if back is not None:
+                piece = back.compose(piece)
+            out.update(piece.terms)
+            if d < n and piece.terms:
+                rest = rest + self.compose(-piece)
+        return kind._make(n, out)
 
 
 def substitute(s: _SparseSeries, *repls: _SparseSeries) -> _SparseSeries:
@@ -585,30 +610,21 @@ def compose_maps(outer: FormalMap, inner: FormalMap) -> FormalMap:
 def invert_map(m: FormalMap) -> FormalMap:
     """Inverse map: compose_maps(m, invert_map(m)) is the identity to order N.
 
-    The inverse increments fi = -f(z + fi, w + gi), gi = -g(z + fi, w + gi)
-    come from a precision ramp: for d = 0, ..., N one Gauss-Seidel pass at
-    order d, started from the order-(d-1) increments, fixes degree d of both.
-    Pass d first updates the increment whose series has no linear term (g
-    when g10 = 0, else f), then the other one at the point with the new
-    increment, which shares the other power table.  That needs a unipotent
-    1-jet, f01 * g10 = 0, which every pipeline map has (g(z, 0) = 0).
-    Any other map raises ValueError, even an invertible one
-    such as f = w/2, g = z/2: the diagonal of its inverse's 1-jet is
-    1/(1 - f01 * g10) != 1, so that inverse is no FormalMap.
+    The inverse (z + fi, w + gi) undoes m from the left: fi and gi are
+    solved from fi(P) = -f and gi(P) = -g at the one point P = (z + f, w + g)
+    (see ``_Point.solve``).  The linear part of P is 1 + E with
+    E = [[0, f01], [g10, 0]], so that needs f01 * g10 = 0, which every
+    pipeline map has (g(z, 0) = 0).  Any other map raises ValueError, even
+    an invertible one such as f = w/2, g = z/2: the diagonal of its
+    inverse's 1-jet is 1/(1 - f01 * g10) != 1, so that inverse is no
+    FormalMap.
     """
-    n = m.n
     f01, g10 = m.f.coeff(0, 1), m.g.coeff(1, 0)
     if not (f01.is_zero() or g10.is_zero()):
         raise ValueError(f"map inversion needs f01 * g10 = 0; got f01 = {f01}, g10 = {g10}")
-    first, second = (1, 0) if g10.is_zero() else (0, 1)
-    comps, var = (m.f, m.g), HoloSeries2.var
-    inc = [HoloSeries2(0), HoloSeries2(0)]
-    for d in range(n + 1):
-        point = _Point((var("z", d) + inc[0].truncate(d), var("w", d) + inc[1].truncate(d)))
-        inc[first] = -point.compose(comps[first].truncate(d))
-        point = point.replace(first, var(HoloSeries2.VARS[first], d) + inc[first])
-        inc[second] = -point.compose(comps[second].truncate(d))
-    return FormalMap(*inc)
+    n = m.n
+    point = _Point((HoloSeries2.var("z", n) + m.f, HoloSeries2.var("w", n) + m.g))
+    return FormalMap(point.solve(-m.f), point.solve(-m.g))
 
 
 def uni_function(kind: str, order: int, exponent: Fraction | None = None) -> Series1:

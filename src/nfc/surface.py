@@ -316,35 +316,16 @@ def transform(M: GraphSurface, m: FormalMap) -> GraphSurface:
     """The image surface under (z, w) -> (z + f, w + g), to order N.
 
     The image phi' is the unique solution of phi'(T) = v1 (see
-    ``_image_point``), solved degree by degree at the one point T.  With
-    g10 = 0, T = L + (terms of degree >= 2), where L is z -> z + c u and c
-    is f01.  Let Y be the sum of the homogeneous pieces phi'_e, e < d,
-    each composed at T; a composition is linear in the series.  The
-    degree-d part of phi'(T) = v1 reads phi'_d(L) = [v1 - Y]_d, so phi'_d
-    is that residual composed with the degree-preserving
-    L^-1 = (z - c u, zb - conj(c) u, u), and adding phi'_d(T) to Y clears
-    degree d of v1 - Y.  Each piece is composed once, and the power tables
-    of T are built once.  A g10 term would give T and v1 a part linear in
+    ``_image_point``), solved at the one point T by ``_Point.solve``.  With
+    g10 = 0 the linear part of T is z -> z + c u with c = f01, which
+    ``solve`` inverts.  A g10 term would give T and v1 a part linear in
     z and zb, so such a map is rejected.
     """
     g10 = m.g.coeff(1, 0)
     if not g10.is_zero():
         raise ValueError(f"transform needs a map whose g has no z-linear term; got g10 = {g10}")
     T, v1 = _image_point(M, m)
-    n, c = M.n, m.f.coeff(0, 1)
-    u = Series3.var("u", n)
-    back = None if c.is_zero() else _Point((Series3.var("z", n) - u * c,
-                                            Series3.var("zb", n) - u * c.conjugate(), u))
-    phi: dict = {}
-    rest = v1           # v1 - Y, whose lowest degree is d
-    for d in range(2, n + 1):
-        piece = Series3._make(n, {key: v for key, v in rest.terms.items() if sum(key) == d})
-        if back is not None:
-            piece = back.compose(piece)
-        phi.update(piece.terms)
-        if d < n and piece.terms:
-            rest = rest + T.compose(-piece)
-    return GraphSurface(Series3._make(n, phi))
+    return GraphSurface(T.solve(v1))
 
 
 def map_defect(M: GraphSurface, m: FormalMap, Mtarget: GraphSurface) -> Series3:

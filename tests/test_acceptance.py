@@ -13,23 +13,11 @@ coefficient 16/3.  The test re-derives its expected value from the probed
 block and from criterion 3's closed form.
 """
 
-import random
 from fractions import Fraction
 
-import pytest
-
-from nfc.scalar import (
-    GaussianRational,
-    I,
-    KPoly,
-    ONE,
-    ZERO,
-    integer_roots_ge2,
-    make_monic,
-)
+from nfc.scalar import GaussianRational, KPoly, ZERO, integer_roots_ge2
 from nfc.series import (
     FormalMap,
-    HoloSeries2,
     Series3,
     compose_maps,
     hermitian_conjugate,
@@ -46,11 +34,11 @@ from nfc.surface import (
     transform,
 )
 from nfc.resonance import KMatrix, char_poly, det, matrix_A, matrix_B
-from nfc.normalizer import normalize, prenormalize_level1, stage_system
+from nfc.normalizer import normalize, stage_system
 from nfc.families import gen_Ht, gen_X, gen_cd, gen_mm, gen_mmt, gen_quadric
 
 from conftest import Maker, tagged_block_mismatches
-from test_resonance import ge_poly, ge_poly_c0, mm_poly, proportional
+from test_resonance import ge_poly, mm_poly, proportional
 from test_series import invert_real_triple
 
 K = KPoly.k()

@@ -1,9 +1,7 @@
-"""The quick demos run to completion, and their stdout is pinned by sha256.
+"""The demos run to completion, and their stdout is pinned by sha256.
 
-Demo 02 is left out: its N = 13 ``normalize`` is the surface that
-``test_messy_surface_full_run`` already runs.  Demo 05 writes a spec file
-into a temporary directory and echoes its path, so that directory is
-replaced by a fixed token before hashing.
+Demo 05 writes a spec file into a temporary directory and echoes its path,
+so that directory is replaced by a fixed token before hashing.
 """
 
 import hashlib
@@ -19,6 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = {
     "01_characteristic_polynomial":
         "eacda98521655d96729a52781b6cad27b50ac8e30da8247c5ea30d82de53c0ad",
+    "02_normalize_a_surface":
+        "8ee189c99c2c183415aa7c420034f6ea2b2a9f744ef221fd2b1c7045172f5782",
     "03_resonances_and_moduli":
         "5997ba55fbd9df547f1c1c829a07db37492dc4dab68076510e2f566a53fcae2b",
     "04_ode_family_and_vector_field":

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from nfc.scalar import GaussianRational, I, ONE, ZERO
-from nfc.series import FormalMap, HoloSeries2, Series1, Series3, substitute, uni_function
+from nfc.series import HoloSeries2, Series1, Series3, substitute, uni_function
 from nfc.surface import infinitesimal_defect, is_hermitian, jet7, map_defect, validate_class
 from nfc.resonance import char_poly
+from nfc.normalizer import solve_stage, stage_system
 from nfc.families import (
     FamilySpec,
     gen_Ht,
@@ -203,6 +204,26 @@ class TestHt:
                     assert h2.g.coeff(l, k) == v
             assert {key for key in h1.f.terms if sum(key) <= 2 * m} == set()
             assert {key for key in h1.g.terms if sum(key) <= 2 * m} == set()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_jets_agree_up_to_the_resonant_stage(self, m):
+        # stage k holds f_{l,k-1} and g_{l,k}: H_1 - H_{2/3} first differs at
+        # the resonance 2m + 1, and there it spans the stage kernel
+        n, k = 2 * m + 8, 2 * m + 1
+        h1, h2 = gen_Ht(m, 1, n), gen_Ht(m, Fraction(2, 3), n)
+        diff = {}
+        for kind, a, b, shift in (("f", h1.f, h2.f, 1), ("g", h1.g, h2.g, 0)):
+            for (l, j), v in (a - b).terms.items():
+                diff[(j + shift, kind, l)] = v
+        assert min(stage for stage, _, _ in diff) == k
+        at_k = {(kind, l): v for (stage, kind, l), v in diff.items() if stage == k}
+        assert at_k == {("f", 1): GaussianRational(Fraction(1, 6)),
+                        ("g", 0): GaussianRational(Fraction(1, 6 * m))}
+        system = stage_system(gen_mm(m, n), k)
+        vec = [getattr(at_k.get((kind, l), ZERO), part) for kind, l, part in system.unknowns]
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in system.numerators)
+        sol = solve_stage(system)
+        assert sol.status == "resonant" and sol.free == [("f", 1, "re")]
 
     def test_membership(self):
         m1 = gen_mm(1, 11)

@@ -1,15 +1,17 @@
-"""Source hygiene: every name a module of ``nfc`` imports is used in it, and
-every name it defines is used or exported."""
+"""Source hygiene: every name a module of ``nfc`` or of the tests imports is
+used in it, and every name ``nfc`` defines is used or exported."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "nfc"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "nfc"
 
 #: ``__init__.py`` imports names only to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -45,10 +47,12 @@ def used_names(tree: ast.Module) -> set:
 
 
 def test_modules_found():
-    assert {p.name for p in MODULES} >= {"series.py", "surface.py", "cli.py"}
+    assert {p.name for p in MODULES} >= {"series.py", "surface.py", "cli.py",
+                                         "conftest.py", "test_imports.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = used_names(tree)

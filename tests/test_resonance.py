@@ -2,9 +2,7 @@
 
 from fractions import Fraction
 
-import pytest
-
-from nfc.scalar import GaussianRational, I, KPoly, ONE, ZERO, kpoly_eval, make_monic
+from nfc.scalar import GaussianRational, KPoly, ONE, ZERO, kpoly_eval, make_monic
 from nfc.resonance import KMatrix, char_poly, det, matrix_A, matrix_B
 from nfc.surface import Jet7, jet7
 from nfc.families import gen_cd, gen_mm, gen_mmt, gen_quadric

@@ -652,11 +652,11 @@ def invert_real_triple(z1: Series3, u1: Series3, *pull: Series3) -> tuple:
             raise ValueError("pulled-back series must have no term linear in z or zb")
     Z = U = Series3(0)
     for d in range(n + 1):
-        Z = Z.truncate(d)
-        point = _Point((Z, hermitian_conjugate(Z), U.truncate(d)))
-        U = Series3.var("u", d) - point.compose(G.truncate(d))
-        point = point.replace(2, U)
-        Z = Series3.var("z", d) - point.compose(F.truncate(d))
+        Z = Series3(d, Z.terms)
+        point = _Point((Z, hermitian_conjugate(Z), Series3(d, U.terms)))
+        U = Series3.var("u", d) - point.compose(Series3(d, G.terms))
+        point = _Point((Z, hermitian_conjugate(Z), U))
+        Z = Series3.var("z", d) - point.compose(Series3(d, F.terms))
     return (Z, U, *(point.compose(p) for p in pull))
 
 
@@ -820,8 +820,8 @@ class TestFormalMaps:
             assert invert_map(m) == full_order_map_inverse(m)
 
     def test_non_unipotent_1_jet_rejected(self):
-        # the 1-jet [[1, 1/2], [1/2, 1]] has det 3/4: invertible, but the
-        # ramp needs f01 * g10 = 0
+        # the 1-jet [[1, 1/2], [1/2, 1]] has det 3/4: invertible, but its
+        # inverse's 1-jet has diagonal 4/3, so the inverse is no FormalMap
         n = 5
         half = Fraction(1, 2)
         m = FormalMap(HoloSeries2(n, {(0, 1): half}), HoloSeries2(n, {(1, 0): half}))
@@ -833,6 +833,51 @@ class TestFormalMaps:
         for _ in range(10):
             a, b, c = (make.formal_map(n, 3) for _ in range(3))
             assert compose_maps(compose_maps(a, b), c) == compose_maps(a, compose_maps(b, c))
+
+
+class TestPointSolve:
+    """``_Point.solve``: the series s with s(point) = rhs, for every kind."""
+
+    @staticmethod
+    def check(point, rhs):
+        s = point.solve(rhs)
+        assert type(s) is type(rhs) and point.compose(s) == rhs
+
+    def test_series1(self, make):
+        n = 9
+        for _ in range(10):
+            x = Series1.var("x", n)
+            p = x + Series1(n, {(j,): make.gaussian() for j in range(2, n + 1)})
+            rhs = Series1(n, {(j,): make.gaussian() for j in range(n + 1)})
+            self.check(_Point((p,)), rhs)
+
+    def test_holo2_with_f01_or_g10(self, make):
+        n = 8
+        zv, wv = HoloSeries2.var("z", n), HoloSeries2.var("w", n)
+        low = ((0, 0), (1, 0), (0, 1))
+        for i in range(10):
+            c = make.gaussian() or ONE
+            f, g = make.holo2(n, 5, exclude=low), make.holo2(n, 5, exclude=low)
+            point = _Point((zv + wv * c + f, wv + g) if i % 2 else (zv + f, wv + zv * c + g))
+            self.check(point, make.holo2(n, 8))
+
+    def test_real_series3_with_u_linear_term(self, make):
+        n = 7
+        for _ in range(6):
+            Z = var("z", n) + var("u", n) * (make.gaussian() or I) + make.series3(n, 4, min_degree=2)
+            U = var("u", n) + make.hermitian_series3(n, 4, min_degree=2)
+            point = _Point((Z, hermitian_conjugate(Z), U))
+            assert point.real
+            self.check(point, make.series3(n, 8))
+            self.check(point, make.hermitian_series3(n, 8, min_degree=1))
+
+    def test_linear_part_with_nonzero_e_squared_rejected(self):
+        n = 5
+        zv, wv = HoloSeries2.var("z", n), HoloSeries2.var("w", n)
+        half = Fraction(1, 2)
+        point = _Point((zv + wv * half, wv + zv * half))
+        with pytest.raises(ValueError, match="E\\^2 = 0"):
+            point.solve(zv)
 
 
 class TestUniSeries:
