@@ -4,7 +4,7 @@ The pipeline first kills the u-linear coefficients phi_{l1}, l >= 2, with a
 pure-z map (one coefficient per step, induction in l).  Each later stage k
 assembles the exact affine system relating the stage-k map coefficients
 f_{l,k-1}, g_{l,k} to the u-level-k coefficients of the transformed surface,
-solves it exactly by fraction-free elimination over the integers, applies
+solves it exactly by Gaussian elimination over Q on sparse rows, applies
 the genuine transform, and verifies that each targeted coefficient equals
 minus the leftover of the solve: zero unless its condition was dropped.
 The system is singular exactly when its distinguished 9x9 block is, so the
@@ -27,13 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .scalar import GaussianRational, ONE, ZERO
 from .series import FormalMap, HoloSeries2, Series3, compose_maps
 from .resonance import char_poly
-from .surface import (GraphSurface, _along_graph, _rho_gradient, check_u_linear_class, jet7,
-                      scale_surface, transform)
+from .surface import (GraphSurface, _along_graph, _rho_gradient, check_u_linear_class,
+                      is_prenormalized_level1, jet7, scale_surface, transform)
 
 TAGGED_UNKNOWNS = (
     ("g", 1, "re"), ("g", 1, "im"),
@@ -63,9 +63,12 @@ class StageSystem:
     six of the complete normalization.  Counts match, so the matrix is
     square.  Its entry (i, j) is ``numerators[i][j] / den``: integers over
     one denominator for the whole system.  Rows and columns are ordered with
-    the non-distinguished ones first so that elimination satisfies the
-    always-solvable conditions before the resonance-prone ones; the
-    distinguished nine conditions and unknowns are the trailing ones.
+    the non-distinguished ones first; the distinguished nine conditions and
+    unknowns are the trailing ones.  ``solve_stage`` takes the rows in this
+    order and pivots on the first column left, so it meets the
+    always-solvable conditions before the resonance-prone ones, and on a
+    resonant stage the order decides which unknowns are free and which
+    conditions are dropped.
     """
 
     k: int
@@ -79,30 +82,6 @@ class StageSystem:
         """The trailing 9x9 block, on the distinguished conditions/unknowns, in Fractions."""
         t = len(TAGGED_UNKNOWNS)
         return [[Fraction(x, self.den) for x in row[-t:]] for row in self.numerators[-t:]]
-
-
-def _eliminate(rows, ncols: int):
-    """Bareiss reduction of integer rows, taken in order.
-
-    Each row is reduced against the pivot rows found so far; every entry
-    stays an integer minor (Sylvester's identity), so each division is
-    exact.  Returns ``(pivots, dependent)``: the ``(col, row)`` of each row
-    with a nonzero entry below ``ncols``, col the first one, and the
-    ``(index, row)`` of each row that vanishes there.
-    """
-    pivots, dependent = [], []
-    for i, r in enumerate(rows):
-        prev = 1
-        for col, p in pivots:
-            a, c = p[col], r[col]
-            r = [(a * x - c * y) // prev for x, y in zip(r, p)]
-            prev = a
-        col = next((j for j in range(ncols) if r[j]), None)
-        if col is None:
-            dependent.append((i, r))
-        else:
-            pivots.append((col, r))
-    return pivots, dependent
 
 
 def _condition_list(lf: int, lg: int) -> list:
@@ -216,14 +195,14 @@ class StageSolution:
 
 
 def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
-    """Exact solve by fraction-free elimination over the integers.
+    """Exact solve by Gaussian elimination over Q on sparse rows.
 
-    Row i, ``numerators[i] / den`` against the target num_i / d_i, is
-    multiplied by den * d_i into the integer row [x * d_i ..., num_i * den].
-    The rows are reduced in condition order by ``_eliminate``, and the
-    values come from back-substitution on the integer pivot rows over one
-    common denominator D, so row i leaves t / (den * d_i * D), t its integer
-    leftover.  Nonsingular systems give the unique solution.
+    Each row maps the columns of its nonzero entries to ``Fraction``s, and
+    the rows are taken in condition order.  A row is reduced against each
+    pivot found so far whose column it holds, and its first column left
+    becomes a pivot, scaled to 1.  Values come from back-substitution in
+    reverse pivot order, and every leftover target is recomputed from the
+    original rows.  Nonsingular systems give the unique solution.
     Singular ones: under "strict" raise, naming the stage as resonant; under
     "gauge_zero" the free variables (the non-pivot columns) are set to zero,
     inconsistent target equations are dropped and their leftover values
@@ -231,46 +210,46 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     """
     if policy not in ("strict", "gauge_zero"):
         raise ValueError(f"unknown policy {policy!r}")
-    ncols = len(sys.unknowns)
-    rows = [[x * b.denominator for x in row] + [b.numerator * sys.den]
-            for row, b in zip(sys.numerators, sys.rhs)]
-    pivots, dependent = _eliminate(rows, ncols)
-    dropped = [sys.conditions[i] for i, r in dependent if r[ncols]]
-    pivot_cols = {col for col, _ in pivots}
-    free = [u for j, u in enumerate(sys.unknowns) if j not in pivot_cols]
+    rows = [{j: Fraction(x, sys.den) for j, x in enumerate(row) if x} for row in sys.numerators]
+    # pivot column -> (row scaled to 1 there, target), in the order found; a
+    # pivot row vanishes at the pivot columns found before it
+    pivots, dropped = {}, []
+    for cond, row, b in zip(sys.conditions, rows, sys.rhs):
+        r = dict(row)
+        for col, (p, t) in pivots.items():
+            c = r.get(col)
+            if c:
+                for j, x in p.items():
+                    y = r.get(j, 0) - c * x
+                    if y:
+                        r[j] = y
+                    else:
+                        del r[j]
+                b -= c * t
+        if r:
+            col = min(r)
+            a = r[col]
+            pivots[col] = ({j: x / a for j, x in r.items()}, b / a)
+        elif b:
+            dropped.append(cond)
+    free = [u for j, u in enumerate(sys.unknowns) if j not in pivots]
     singular = bool(free) or bool(dropped)
     if singular and policy == "strict":
         raise ValueError(f"stage k={sys.k} is resonant: singular normalization system")
-    # free variables pinned to zero; a pivot row vanishes at the pivot
-    # columns found before it, so back-substitution runs from the last one,
-    # on integers: scaled holds (j, x) with value j = x / D, and D grows by lcm
-    D, scaled = 1, []
-    for col, r in reversed(pivots):
-        t = r[ncols] * D - sum(r[j] * x for j, x in scaled)
-        if not t:
-            continue
-        d = D * r[col]
-        g = gcd(t, d) if d > 0 else -gcd(t, d)     # keeps d // g positive
-        t, d = t // g, d // g
-        grow = d // gcd(D, d)
-        if grow > 1:
-            D *= grow
-            scaled = [(j, x * grow) for j, x in scaled]
-        scaled.append((col, t * (D // d)))
-    values = [Fraction(0)] * ncols
-    for j, x in scaled:
-        values[j] = Fraction(x, D)
-    # re-check every equation on the integer rows, against the solution
-    # over D, and collect leftover targets
+    # free variables stay zero, and so does a pivot's own column until its
+    # row is solved, so the sum may run over the whole row
+    values = [Fraction(0)] * len(sys.unknowns)
+    for col, (p, t) in reversed(pivots.items()):
+        values[col] = t - sum(x * values[j] for j, x in p.items())
     residuals = []
-    for cond, r, b in zip(sys.conditions, rows, sys.rhs):
-        t = r[ncols] * D - sum(r[j] * x for j, x in scaled)
-        if t:
-            residuals.append((cond, Fraction(t, sys.den * b.denominator * D)))
+    for cond, row, b in zip(sys.conditions, rows, sys.rhs):
+        left = b - sum(x * values[j] for j, x in row.items())
+        if left:
+            residuals.append((cond, left))
     return StageSolution(
         k=sys.k,
         status="resonant" if singular else "solved",
-        values={sys.unknowns[j]: values[j] for j in range(ncols)},
+        values=dict(zip(sys.unknowns, values)),
         free=free,
         dropped=dropped,
         residuals=residuals,
@@ -296,23 +275,23 @@ def prenormalize_level1(M: GraphSurface) -> tuple[GraphSurface, FormalMap]:
     Accepts any surface with no c = 0 term, no phi_{a01} or phi_{0b1} term
     and phi11 = 1; the u-levels c >= 2 may carry anything.  The map has g = 0
     and f depending on z only, so it acts on each u-level separately and
-    leaves the levels above 1 unnormalized.  The surface is transformed one
-    coefficient at a time so the lower-order corrections are always already
-    incorporated when coefficient l is read.
+    leaves the levels above 1 unnormalized.  Under such a map z -> h(z),
+    level 1 transforms by phi'(h, conj h, u) = phi.  If the image has
+    phi'_{a1} = 0 for 2 <= a < l, only h conj(h) and phi'_{l1} h^l conj(h)
+    reach z^l zb, so phi'_{l1} = phi_{l1} - h_l.  Each step z -> z + c_l z^l
+    therefore takes c_l = phi_{l1} - h_l from the input and the map composed
+    so far, and the surface is transformed once, by the whole map.
     """
     check_u_linear_class(M, "prenormalization", prenormalized=False)
     n = M.n
-    current = M
     total = FormalMap.identity(n)
     for l in range(2, n - 1):
-        c = current.phi.coeff(l, 1, 1)
-        if c.is_zero():
-            continue
-        m = FormalMap(HoloSeries2(n, {(l, 0): c}), HoloSeries2(n))
-        current = transform(current, m)
-        if not current.phi.coeff(l, 1, 1).is_zero():
-            raise AssertionError(f"prenormalization failed to clear phi_{{{l}1}}")
-        total = compose_maps(m, total)
+        c = M.phi.coeff(l, 1, 1) - total.f.coeff(l, 0)
+        if not c.is_zero():
+            total = compose_maps(FormalMap(HoloSeries2(n, {(l, 0): c}), HoloSeries2(n)), total)
+    current = transform(M, total)
+    if not is_prenormalized_level1(current):
+        raise AssertionError("prenormalization failed to clear level 1")
     return current, total
 
 

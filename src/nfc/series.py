@@ -319,17 +319,6 @@ class Series3(_SparseSeries):
     # In the class dict so that tracers can wrap the product of this class alone.
     __mul__ = __rmul__ = _SparseSeries.__mul__
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b, c), v in self.sorted_terms():
-            factors = [name + (f"^{e}" if e > 1 else "")
-                       for name, e in zip(self.VARS, (a, b, c)) if e]
-            mono = "*".join(factors)
-            bits.append(f"({v})*{mono}" if mono else f"({v})")
-        return " + ".join(bits)
-
 
 class HoloSeries2(_SparseSeries):
     """Sparse holomorphic series sum h_{lk} z^l w^k, truncated by l + k <= N."""

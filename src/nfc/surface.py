@@ -136,11 +136,7 @@ def validate_class(M: GraphSurface) -> ClassReport:
     phi11 = phi.coeff(1, 1, 1)
     in_class = inf_type and normal
     rescaled = None
-    if not phi11.is_real():
-        # Hermitian symmetry makes phi11 real; defensive only
-        in_class = False
-        diagnostics.append(("phi11_not_real", (1, 1, 1)))
-    elif phi11.is_zero():
+    if phi11.is_zero():
         in_class = False
         diagnostics.append(("phi11_zero", (1, 1, 1)))
     elif phi11.re < 0:

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module of ``nfc`` or of the tests imports is
-used in it, and every name ``nfc`` defines is used or exported."""
+"""Source hygiene: every name a module of ``nfc``, of the tests or of the
+demos imports is used in it, and every name ``nfc`` defines is used or
+exported."""
 
 import ast
 from pathlib import Path
@@ -11,7 +12,7 @@ SRC = TESTS.parent / "src" / "nfc"
 
 #: ``__init__.py`` imports names only to re-export them
 MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-           + sorted(TESTS.glob("*.py")))
+           + sorted(TESTS.glob("*.py")) + sorted((TESTS.parent / "demos").glob("*.py")))
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -48,11 +49,11 @@ def used_names(tree: ast.Module) -> set:
 
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"series.py", "surface.py", "cli.py",
-                                         "conftest.py", "test_imports.py"}
+                                         "conftest.py", "test_imports.py", "05_cli_tour.py"}
 
 
 @pytest.mark.parametrize("path", MODULES,
-                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
+                         ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = used_names(tree)

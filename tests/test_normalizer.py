@@ -1,6 +1,7 @@
 """Prenormalization, stage systems, solving, the full normalization loop."""
 
 import hashlib
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -20,7 +21,6 @@ from nfc.normalizer import (
     TAGGED_CONDITIONS,
     TAGGED_UNKNOWNS,
     _condition_list,
-    _eliminate,
     _unknown_list,
     apply_group_action,
     normalize,
@@ -86,6 +86,29 @@ class TestPrenormalize:
         out, m = prenormalize_level1(M)
         for (a, b, c) in out.phi.terms:
             assert not (c == 1 and 1 in (a, b) and (a, b) != (1, 1))
+        assert map_defect(M, m, out).is_zero()
+
+    def test_one_transform_by_the_whole_map(self, make, monkeypatch):
+        # under a pure-z map z -> h(z) only h conj(h) reaches z^l zb at level
+        # 1, so the map's f_{l0} is the input's phi_{l1}, and the surface is
+        # transformed once, by the whole map
+        n = 12
+        level1 = {(2, 1, 1): GaussianRational(Fraction(1, 2), 1), (3, 1, 1): GaussianRational(-1),
+                  (5, 1, 1): GaussianRational(0, 2), (9, 1, 1): ONE}
+        level1.update({(b, a, c): v.conjugate() for (a, b, c), v in level1.items()})
+        M = GraphSurface(make.class_surface(n, nterms=8).phi + Series3(n, level1))
+        real, calls = nfc.normalizer.transform, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(nfc.normalizer, "transform", counted)
+        out, m = prenormalize_level1(M)
+        assert len(calls) == 1
+        assert m.g.is_zero()
+        for l in range(2, n - 1):
+            assert m.f.coeff(l, 0) == M.phi.coeff(l, 1, 1), l
         assert map_defect(M, m, out).is_zero()
 
 
@@ -210,12 +233,38 @@ def _cleared(row) -> list:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def solve_stage_reference(sys):
-    """``solve_stage`` under gauge_zero, with the back-substitution in Fraction.
+def _eliminate(rows, ncols: int):
+    """Bareiss reduction of integer rows, taken in order.
 
-    Each rational row is cleared by the lcm of its own denominators, not
-    scaled as ``solve_stage`` scales it, so the solve must not depend on
-    the scaling.
+    Each row is reduced against the pivot rows found so far; every entry
+    stays an integer minor (Sylvester's identity), so each division is
+    exact.  Returns ``(pivots, dependent)``: the ``(col, row)`` of each row
+    with a nonzero entry below ``ncols``, col the first one, and the
+    ``(index, row)`` of each row that vanishes there.
+    """
+    pivots, dependent = [], []
+    for i, r in enumerate(rows):
+        prev = 1
+        for col, p in pivots:
+            a, c = p[col], r[col]
+            r = [(a * x - c * y) // prev for x, y in zip(r, p)]
+            prev = a
+        col = next((j for j in range(ncols) if r[j]), None)
+        if col is None:
+            dependent.append((i, r))
+        else:
+            pivots.append((col, r))
+    return pivots, dependent
+
+
+def solve_stage_reference(sys):
+    """``solve_stage`` under gauge_zero, by dense fraction-free elimination.
+
+    The rows are reduced by Bareiss's algorithm (Math. Comp. 22, 1968) on
+    dense integer rows, each rational row cleared by the lcm of its own
+    denominators, and the values come from back-substitution in Fraction.
+    Its pivot rows equal those of ``solve_stage`` up to scale, so both give
+    the same pivots, values, free unknowns, dropped conditions and leftovers.
     """
     ncols = len(sys.unknowns)
     matrix = entries(sys)
@@ -402,6 +451,54 @@ class TestSolveStage:
             assert sol.residuals == expected
             seen += len(expected)
         assert seen >= 2
+
+    @staticmethod
+    def _random_system(rng) -> StageSystem:
+        """A small integer system of a shape ``stage_system`` never builds.
+
+        Rows are dense or half empty, start at a random column and may be
+        zero; some columns are zero in every row, and some rows combine two
+        earlier ones, with the combined target or one off by 1.
+        """
+        ncols = rng.randint(1, 6)
+        zero = set(rng.sample(range(ncols), rng.randint(0, ncols // 2)))
+        density = rng.choice((1, 0.5))
+        rows, rhs = [], []
+        for _ in range(rng.randint(1, ncols + 2)):
+            if len(rows) >= 2 and rng.random() < 0.3:
+                (r1, b1), (r2, b2) = rng.sample(list(zip(rows, rhs)), 2)
+                a, c = rng.randint(-2, 2), rng.randint(-2, 2)
+                rows.append([a * x + c * y for x, y in zip(r1, r2)])
+                rhs.append(a * b1 + c * b2 + rng.choice((0, 0, 1)))
+            else:
+                lead = rng.randrange(ncols)
+                rows.append([rng.randint(-3, 3) if j >= lead and j not in zero
+                             and rng.random() < density else 0 for j in range(ncols)])
+                rhs.append(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        return StageSystem(k=2, unknowns=[("f", j, "re") for j in range(ncols)],
+                           conditions=[(i, 0, "re") for i in range(len(rows))],
+                           numerators=rows, den=rng.choice((1, 2, 3, 6)), rhs=rhs)
+
+    def test_random_systems_match_reference(self):
+        # the sparse solve assumes nothing of the stage layout; under strict
+        # it raises exactly when the reference finds the system singular
+        rng = random.Random(1968)
+        seen = set()
+        for trial in range(300):
+            sys = self._random_system(rng)
+            ref = solve_stage_reference(sys)
+            assert solve_stage(sys) == ref, trial
+            if ref.status == "resonant":
+                with pytest.raises(ValueError, match="resonant"):
+                    solve_stage(sys, "strict")
+            else:
+                assert solve_stage(sys, "strict") == ref, trial
+            cols = [col for col, _ in _eliminate(sys.numerators, len(sys.unknowns))[0]]
+            seen.add(ref.status)
+            seen.update(name for name, hit in (("free", ref.free), ("dropped", ref.dropped),
+                                               ("pivots out of row order", cols != sorted(cols)))
+                        if hit)
+        assert seen == {"solved", "resonant", "free", "dropped", "pivots out of row order"}
 
 
 class TestNormalize:
