@@ -4,9 +4,10 @@ The pipeline first kills the u-linear coefficients phi_{l1}, l >= 2, with a
 pure-z map (one coefficient per step, induction in l).  Each later stage k
 assembles the exact affine system relating the stage-k map coefficients
 f_{l,k-1}, g_{l,k} to the u-level-k coefficients of the transformed surface,
-solves it exactly by Gaussian elimination over Q on sparse rows, applies
-the genuine transform, and verifies that each targeted coefficient equals
-minus the leftover of the solve: zero unless its condition was dropped.
+solves it exactly by fraction-free elimination on sparse primitive integer
+rows, applies the genuine transform (which returns an identity stage map's
+surface unchanged), and verifies that each targeted coefficient equals minus
+the leftover of the solve: zero unless its condition was dropped.
 The system is singular exactly when its distinguished 9x9 block is, so the
 solve also tells whether stage k is resonant.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .scalar import GaussianRational, ONE, ZERO
 from .series import FormalMap, HoloSeries2, Series3, compose_maps
@@ -195,14 +196,24 @@ class StageSolution:
 
 
 def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
-    """Exact solve by Gaussian elimination over Q on sparse rows.
+    """Exact solve by fraction-free elimination on sparse primitive integer rows.
 
-    Each row maps the columns of its nonzero entries to ``Fraction``s, and
-    the rows are taken in condition order.  A row is reduced against each
-    pivot found so far whose column it holds, and its first column left
-    becomes a pivot, scaled to 1.  Values come from back-substitution in
-    reverse pivot order, and every leftover target is recomputed from the
-    original rows.  Nonsingular systems give the unique solution.
+    Condition i reads sum_j (x_j / den) v_j = b with b = p / q in lowest
+    terms, so its row is {j: x_j q} with target p den: integers, kept only
+    where nonzero.  The rows are taken in condition order.  A row holding
+    the column c of a pivot row P found before it, with P[c] = a and its own
+    entry e, becomes a r - e P (a and e divided by their gcd first), and its
+    target likewise; a row is reduced only against the pivots whose column
+    it holds, in the order they were found.  Its first column left then
+    becomes a pivot, and the row and target are divided by the gcd of all
+    their entries (Bareiss, Math. Comp. 22, 1968, removes content the same
+    way).  Every reduced row is a rational multiple of the row that
+    elimination over Q gives, so pivots, free unknowns and dropped
+    conditions are the same.  Values come from back-substitution in reverse
+    pivot order, in ``Fraction``s.  Every leftover target is recomputed from
+    the original integer rows, with the values over their common
+    denominator, so each nonzero leftover is one ``Fraction``.
+    Nonsingular systems give the unique solution.
     Singular ones: under "strict" raise, naming the stage as resonant; under
     "gauge_zero" the free variables (the non-pivot columns) are set to zero,
     inconsistent target equations are dropped and their leftover values
@@ -210,27 +221,37 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     """
     if policy not in ("strict", "gauge_zero"):
         raise ValueError(f"unknown policy {policy!r}")
-    rows = [{j: Fraction(x, sys.den) for j, x in enumerate(row) if x} for row in sys.numerators]
-    # pivot column -> (row scaled to 1 there, target), in the order found; a
-    # pivot row vanishes at the pivot columns found before it
+    den = sys.den
+    # pivot column -> (primitive row, target), in the order found; a pivot
+    # row vanishes at the pivot columns found before it
     pivots, dropped = {}, []
-    for cond, row, b in zip(sys.conditions, rows, sys.rhs):
-        r = dict(row)
-        for col, (p, t) in pivots.items():
-            c = r.get(col)
-            if c:
+    for cond, row, b in zip(sys.conditions, sys.numerators, sys.rhs):
+        r = {j: x * b.denominator for j, x in enumerate(row) if x}
+        t = b.numerator * den
+        for col, (p, pt) in pivots.items():
+            e = r.get(col)
+            if e:
+                a = p[col]
+                g = gcd(a, e)
+                a, e = a // g, e // g
+                if a != 1:
+                    for j in r:
+                        r[j] *= a
+                    t *= a
                 for j, x in p.items():
-                    y = r.get(j, 0) - c * x
+                    y = r.get(j, 0) - e * x
                     if y:
                         r[j] = y
                     else:
                         del r[j]
-                b -= c * t
+                t -= e * pt
         if r:
-            col = min(r)
-            a = r[col]
-            pivots[col] = ({j: x / a for j, x in r.items()}, b / a)
-        elif b:
+            g = gcd(t, *r.values())
+            if g != 1:
+                r = {j: x // g for j, x in r.items()}
+                t //= g
+            pivots[min(r)] = (r, t)
+        elif t:
             dropped.append(cond)
     free = [u for j, u in enumerate(sys.unknowns) if j not in pivots]
     singular = bool(free) or bool(dropped)
@@ -240,12 +261,16 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     # row is solved, so the sum may run over the whole row
     values = [Fraction(0)] * len(sys.unknowns)
     for col, (p, t) in reversed(pivots.items()):
-        values[col] = t - sum(x * values[j] for j, x in p.items())
+        values[col] = (t - sum(x * values[j] for j, x in p.items())) / p[col]
+    # leftover of condition i: b - sum_j x_j V_j / (den L), with V = L * values
+    L = lcm(*(v.denominator for v in values))
+    V = [v.numerator * (L // v.denominator) for v in values]
     residuals = []
-    for cond, row, b in zip(sys.conditions, rows, sys.rhs):
-        left = b - sum(x * values[j] for j, x in row.items())
+    for cond, row, b in zip(sys.conditions, sys.numerators, sys.rhs):
+        q = b.denominator
+        left = b.numerator * den * L - q * sum(x * V[j] for j, x in enumerate(row) if x)
         if left:
-            residuals.append((cond, left))
+            residuals.append((cond, Fraction(left, q * den * L)))
     return StageSolution(
         k=sys.k,
         status="resonant" if singular else "solved",

@@ -40,9 +40,11 @@ conjugates of the powers of Z.
 
 Every series inversion is one ``_Point.solve``: the series s with
 s(point) = rhs, found degree by degree at the one point, so the tables are
-built once.  ``transform`` solves for the image surface, ``invert_map`` for
-the increments of the inverse map, and the families' q_T is the reversion
-of a ``Series1``.
+built once.  Its residual stays an unreduced integer table over one
+denominator, and only the coefficients it outputs are reduced.
+``transform`` solves for the image surface, ``invert_map`` for the
+increments of the inverse map, and the families' q_T is the reversion of a
+``Series1``.
 """
 
 from __future__ import annotations
@@ -417,20 +419,32 @@ class _Point:
     def compose(self, s: _SparseSeries) -> _SparseSeries:
         """s at this point, truncated at N; s has one variable per replacement.
 
+        Each output coefficient is reduced once, over the denominator of
+        ``_compose_acc``.
+        """
+        D, acc = self._compose_acc(s)
+        n, kind = self.n, self.kind
+        return kind._make(n, kind._unpack(_reduced(acc, D), n + 1))
+
+    def _compose_acc(self, s: _SparseSeries) -> tuple:
+        """(D, acc): s at this point as unreduced sums over one denominator D.
+
+        acc maps a packed key to [re, im, degree], the Gaussian-integer
+        numerator of the coefficient times D, as ``_accumulate`` leaves it.
+
         The terms of s are grouped by every exponent but the last.  A group's
         polynomial in the last replacement is assembled as one integer form
         over the lcm L of its terms' denominators, and is then multiplied by
         the integer forms of the head powers.  The groups are brought to the
         lcm D of their denominators L * D(r1^e1) * ... before these products,
-        so that all of them accumulate unreduced into one table, and each
-        output coefficient is reduced once over D.
+        so that all of them accumulate unreduced into one table over D.
 
         At a real point a Hermitian s in (z, zb, u) composes to a Hermitian
         series, and the conjugate of the group (a, b) is the group (b, a).
         So only the groups with a <= b are computed, and the part with
         a < b is added to the result together with its Hermitian conjugate.
         """
-        n, kind, last = self.n, self.kind, len(self.repls) - 1
+        n, last = self.n, len(self.repls) - 1
         mirror = self.real and type(s) is Series3 and is_hermitian(s)
         groups: dict = {}
         for key, v in s.terms.items():
@@ -470,7 +484,7 @@ class _Point:
                 else:
                     t[0] += sr
                     t[1] += im
-        return kind._make(n, kind._unpack(_reduced(out, D), n + 1))
+        return D, out
 
     def solve(self, rhs: _SparseSeries) -> _SparseSeries:
         """The series s with s at this point equal to rhs, to order N.
@@ -484,6 +498,12 @@ class _Point:
         adding s_d(point) to Y clears degree d of rhs - Y.  Each piece is
         composed once, and the power tables of the point are built once
         (Brent & Kung, J. ACM 25, 1978).
+
+        The residual rhs - Y stays in the integers: one table of unreduced
+        Gaussian-integer sums per degree, over one denominator D.  Each
+        s_d(point) comes from ``_compose_acc`` over its own Dc, and both
+        sides are brought to lcm(D, Dc) before it is subtracted.  Only the
+        degree-d residual is reduced, because s_d is part of the output.
         """
         n, kind = self.n, self.kind
         if len(self.repls) != len(kind.VARS):
@@ -491,21 +511,48 @@ class _Point:
         xs = tuple(kind.var(x, n) for x in kind.VARS)
         lin = [kind._make(n, {key: v for key, v in r.terms.items() if sum(key) == 1})
                for r in self.repls]
-        inv = tuple(x * 2 - l for x, l in zip(xs, lin))
+        # 2x - l, summed key by key in the constructor
+        inv = tuple(kind(n, [(key, 2) for key in x.terms]
+                         + [(key, -v) for key, v in l.terms.items()])
+                    for x, l in zip(xs, lin))
         back = _Point(inv)
         if any(back.compose(l) != x for l, x in zip(lin, xs)):
             raise ValueError("solve needs a linear part L = 1 + E with E^2 = 0")
         if inv == xs:
             back = None
+        # rhs - Y as unreduced sums over one denominator D, one table per degree
+        D, rows = rhs._integer_form()
+        rest = [{} for _ in range(n + 1)]
+        for e, key, sr, si in rows:
+            rest[e][key] = [sr, si, e]
         out: dict = {}
-        rest = rhs          # rhs - Y, whose lowest degree is d
         for d in range(rhs.min_degree(), n + 1):
-            piece = kind._make(n, {key: v for key, v in rest.terms.items() if sum(key) == d})
+            piece = kind._make(n, kind._unpack(_reduced(rest[d], D), n + 1))
             if back is not None:
                 piece = back.compose(piece)
             out.update(piece.terms)
-            if d < n and piece.terms:
-                rest = rest + self.compose(-piece)
+            if d == n or not piece.terms:
+                continue
+            # subtract s_d(point) over lcm(D, Dc); its degree-d part clears rest[d]
+            Dc, acc = self._compose_acc(piece)
+            L = math.lcm(D, Dc)
+            if L != D:
+                m = L // D
+                for table in rest[d + 1:]:
+                    for s in table.values():
+                        s[0] *= m
+                        s[1] *= m
+                D = L
+            m = L // Dc
+            for key, (cr, ci, e) in acc.items():
+                if e > d:
+                    table = rest[e]
+                    s = table.get(key)
+                    if s is None:
+                        table[key] = [-cr * m, -ci * m, e]
+                    else:
+                        s[0] -= cr * m
+                        s[1] -= ci * m
         return kind._make(n, out)
 
 

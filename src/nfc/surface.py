@@ -315,8 +315,11 @@ def transform(M: GraphSurface, m: FormalMap) -> GraphSurface:
     ``_image_point``), solved at the one point T by ``_Point.solve``.  With
     g10 = 0 the linear part of T is z -> z + c u with c = f01, which
     ``solve`` inverts.  A g10 term would give T and v1 a part linear in
-    z and zb, so such a map is rejected.
+    z and zb, so such a map is rejected.  The identity map of order N
+    returns M itself.
     """
+    if m.n == M.n and m.is_identity():
+        return M
     g10 = m.g.coeff(1, 0)
     if not g10.is_zero():
         raise ValueError(f"transform needs a map whose g has no z-linear term; got g10 = {g10}")

@@ -14,6 +14,7 @@ from nfc.surface import (GraphSurface, check_normal_form, infinitesimal_defect, 
 from nfc.resonance import KMatrix, char_poly, det
 import nfc.normalizer
 import nfc.series
+import nfc.surface
 from nfc.normalizer import (
     GroupElement,
     StageSolution,
@@ -327,6 +328,40 @@ class TestStageAssembly:
                 assert rational(sys) == stage_system_reference(M, k), (name, k)
                 assert solve_stage(sys) == solve_stage_reference(sys), (name, k)
 
+    @pytest.mark.parametrize("name", list(SURFACES))
+    def test_det_factors_through_the_tagged_block(self, name):
+        # the proof in normalize's docstring, checked on every system: row
+        # (0, 0) holds only g0 im, which is the only non-distinguished unknown
+        # on a distinguished row, and the other non-distinguished rows are
+        # block lower-triangular on the non-distinguished columns, with
+        # invertible 2x2 diagonal blocks (g_a on (a, 0), f_l on (l, 1)).  So
+        # det(system) = det(9x9 block) * nonzero, and the solve is resonant
+        # exactly when the block's det vanishes
+        t = len(TAGGED_UNKNOWNS)
+        for M in self.SURFACES[name]():
+            for k in range(2, M.n - 5):
+                sys = stage_system(M, k)
+                rows, nd = sys.numerators, len(sys.unknowns) - t
+                g0 = sys.unknowns.index(("g", 0, "im"))
+                assert sys.conditions[0] == (0, 0, "re")
+                assert [j for j, x in enumerate(rows[0]) if x] == [g0], (name, k)
+                for row in rows[nd:]:
+                    assert {j for j, x in enumerate(row[:nd]) if x} <= {g0}, (name, k)
+                # block of a non-distinguished row or column: ("g", a) or ("f", l)
+                row_block = [("g" if b == 0 else "f", a) for a, b, _ in sys.conditions[1:nd]]
+                col_block = [(kind, l) for kind, l, _ in sys.unknowns[1:nd]]
+                assert row_block == col_block and all(row_block.count(x) == 2 for x in row_block)
+                order = {x: i for i, x in enumerate(dict.fromkeys(col_block))}
+                for i, row in enumerate(rows[1:nd], start=1):
+                    for j, x in enumerate(row[1:nd], start=1):
+                        assert not x or order[col_block[j - 1]] <= order[row_block[i - 1]], \
+                            (name, k, sys.conditions[i], sys.unknowns[j])
+                for i in range(1, nd, 2):
+                    (a, b), (c, d) = rows[i][i:i + 2], rows[i + 1][i:i + 2]
+                    assert a * d - b * c != 0, (name, k, sys.conditions[i])
+                singular = det(KMatrix(sys.tagged_block())).is_zero()
+                assert (solve_stage(sys).status == "resonant") == singular, (name, k)
+
     def test_products_per_stage_do_not_grow_with_order(self, monkeypatch):
         # columns are shifts of a few base series: one stage costs the same
         # number of series products at any truncation order.  The powers of
@@ -502,6 +537,28 @@ class TestSolveStage:
 
 
 class TestNormalize:
+    def test_identity_stage_maps_skip_the_transform(self, monkeypatch):
+        # without level-2 terms the stage-2 map is the identity, and
+        # transform returns the surface without building its image point
+        M = Maker(seed=3).class_surface(11, nterms=8)
+        M = surf(11, {key: v for key, v in M.phi.terms.items() if key[2] != 2})
+        maps, images = [], []
+        real_transform, real_image = nfc.normalizer.transform, nfc.surface._image_point
+
+        def counted_transform(M, m):
+            maps.append(m.is_identity())
+            return real_transform(M, m)
+
+        def counted_image(M, m):
+            images.append(m.is_identity())
+            return real_image(M, m)
+
+        monkeypatch.setattr(nfc.normalizer, "transform", counted_transform)
+        monkeypatch.setattr(nfc.surface, "_image_point", counted_image)
+        normalize(M, 5)
+        assert maps[1] and False in maps, maps     # maps[1] is stage 2's
+        assert images == [False] * maps.count(False)
+
     def test_quadric_fixed_point(self):
         res = normalize(gen_quadric(12), 6)
         assert res.map.is_identity()

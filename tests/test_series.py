@@ -19,7 +19,7 @@ from nfc.series import (
     substitute,
     uni_function,
 )
-from nfc.series import _Point
+from nfc.series import _Point, _SparseSeries
 
 
 def S(n, terms):
@@ -838,9 +838,23 @@ class TestFormalMaps:
 class TestPointSolve:
     """``_Point.solve``: the series s with s(point) = rhs, for every kind."""
 
-    @staticmethod
-    def check(point, rhs):
+    @pytest.fixture(autouse=True)
+    def count_sums(self, monkeypatch):
+        """Count series sums, so that ``check`` can require none inside ``solve``."""
+        self.sums = 0
+        add = _SparseSeries.__add__
+
+        def counted(left, right):
+            self.sums += 1
+            return add(left, right)
+
+        monkeypatch.setattr(_SparseSeries, "__add__", counted)
+
+    def check(self, point, rhs):
+        # the residual stays an integer table: no series sum reduces it
+        before = self.sums
         s = point.solve(rhs)
+        assert self.sums == before
         assert type(s) is type(rhs) and point.compose(s) == rhs
 
     def test_series1(self, make):
@@ -870,6 +884,23 @@ class TestPointSolve:
             assert point.real
             self.check(point, make.series3(n, 8))
             self.check(point, make.hermitian_series3(n, 8, min_degree=1))
+
+    def test_real_series3_over_distinct_primes(self):
+        # every coefficient has its own prime denominator, so the residual's
+        # denominator grows with the pieces and is raised to their lcm
+        n = 7
+        z, zb, u = var("z", n), var("zb", n), var("u", n)
+        Z = z + u * GaussianRational(Fraction(1, 3), Fraction(2, 5)) + S(n, {
+            (2, 1, 0): Fraction(1, 7), (1, 0, 2): GaussianRational(0, Fraction(3, 11))})
+        h = S(n, {(2, 0, 1): GaussianRational(Fraction(1, 13), Fraction(1, 5)),
+                  (1, 1, 1): Fraction(2, 7)})
+        point = _Point((Z, hermitian_conjugate(Z), u + h + hermitian_conjugate(h)))
+        assert point.real
+        rhs = S(n, {(1, 0, 0): Fraction(1, 3), (0, 1, 1): GaussianRational(0, Fraction(1, 5)),
+                    (2, 1, 1): Fraction(4, 7), (0, 3, 0): Fraction(-1, 11),
+                    (1, 1, 2): GaussianRational(Fraction(2, 13), Fraction(1, 3))})
+        self.check(point, rhs)
+        self.check(point, rhs + hermitian_conjugate(rhs) + z * zb * u * Fraction(1, 13))
 
     def test_linear_part_with_nonzero_e_squared_rejected(self):
         n = 5

@@ -194,7 +194,9 @@ class TestNabForm:
 class TestTransform:
     def test_identity(self):
         M = gen_cd(1, -3, 9)
-        assert transform(M, FormalMap.identity(9)) == M
+        assert transform(M, FormalMap.identity(9)) is M
+        with pytest.raises(ValueError, match="mismatched truncation orders"):
+            transform(M, FormalMap.identity(8))
 
     def test_quadric_rotation_scaling_invariance(self):
         # (z, w) -> (alpha z, s w) with |alpha| = 1 fixes u |z|^2
