@@ -40,11 +40,13 @@ from .surface import (
     infinitesimal_defect,
     jet7,
     map_defect,
+    transform,
     validate_class,
 )
 from .resonance import char_poly
 from .normalizer import normalize
-from .families import FAMILY_PARAMS, FamilySpec, gen_Ht, gen_X, generate
+from .families import (FAMILY_PARAMS, FamilySpec, gen_cd, gen_Ht, gen_mm, gen_mmt,
+                       gen_quadric, gen_X, generate)
 
 DEFAULT_ORDER = 13
 
@@ -525,11 +527,9 @@ def cmd_normalize(args) -> dict:
 
 
 def cmd_transform(args) -> dict:
-    from .surface import transform as do_transform
-
     spec, M = _resolve_surface(args)
     raw_map, m = _resolve_map(args, M.n)
-    out = do_transform(M, m)
+    out = transform(M, m)
     report = validate_class(out)
     payload = {
         "surface": _series_obj(out.phi, args.display_cutoff),
@@ -559,8 +559,6 @@ def cmd_verify_field(args) -> dict:
 
 
 def cmd_selftest(args) -> dict:
-    from .families import gen_cd, gen_mm, gen_mmt, gen_quadric
-
     checks = []
 
     def check(name, fn):

@@ -3,11 +3,11 @@
 The pipeline first kills the u-linear coefficients phi_{l1}, l >= 2, with a
 pure-z map (one coefficient per step, induction in l).  Each later stage k
 assembles the exact affine system relating the stage-k map coefficients
-f_{l,k-1}, g_{l,k} to the u-level-k coefficients of the transformed surface,
-solves it exactly by fraction-free elimination on sparse primitive integer
-rows, applies the genuine transform (which returns an identity stage map's
-surface unchanged), and verifies that each targeted coefficient equals minus
-the leftover of the solve: zero unless its condition was dropped.
+f_{l,k-1}, g_{l,k} to the u-level-k coefficients of the transformed surface
+as sparse integer rows, solves it exactly in integers, applies the genuine
+transform (which returns an identity stage map's surface unchanged), and
+verifies that each targeted coefficient equals minus the leftover of the
+solve: zero unless its condition was dropped.
 The system is singular exactly when its distinguished 9x9 block is, so the
 solve also tells whether stage k is resonant.
 
@@ -26,6 +26,7 @@ the distinguished 9x9 block against the transcription in ``resonance``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -62,51 +63,39 @@ class StageSystem:
     g_{l,k} (0 <= l <= Lg = N-k); conditions are the coefficients
     phi_{a0k} (0 <= a <= Lg), phi_{l1k} (3 <= l <= Lf) and the distinguished
     six of the complete normalization.  Counts match, so the matrix is
-    square.  Its entry (i, j) is ``numerators[i][j] / den``: integers over
-    one denominator for the whole system.  Rows and columns are ordered with
-    the non-distinguished ones first; the distinguished nine conditions and
-    unknowns are the trailing ones.  ``solve_stage`` takes the rows in this
-    order and pivots on the first column left, so it meets the
-    always-solvable conditions before the resonance-prone ones, and on a
-    resonant stage the order decides which unknowns are free and which
-    conditions are dropped.
+    square.  Its entry (i, j) is ``rows[i][j] / den``, and ``rows[i]`` maps
+    only the nonzero integers.  The non-distinguished condition i pairs with
+    unknown i: (0, 0) re with g0 im, (a, 0) with g_a, (l, 1) with f_l; the
+    distinguished nine conditions and unknowns are the trailing ones.
+    ``solve_stage`` takes the rows in this order and pivots on the first
+    column left, so it meets the always-solvable conditions before the
+    resonance-prone ones, and on a resonant stage the order decides which
+    unknowns are free and which conditions are dropped.
     """
 
     k: int
     unknowns: list
     conditions: list
-    numerators: list
+    rows: list
     den: int
     rhs: list
 
     def tagged_block(self):
         """The trailing 9x9 block, on the distinguished conditions/unknowns, in Fractions."""
-        t = len(TAGGED_UNKNOWNS)
-        return [[Fraction(x, self.den) for x in row[-t:]] for row in self.numerators[-t:]]
+        n, t = len(self.unknowns), len(TAGGED_UNKNOWNS)
+        return [[Fraction(row.get(j, 0), self.den) for j in range(n - t, n)]
+                for row in self.rows[-t:]]
 
 
-def _condition_list(lf: int, lg: int) -> list:
-    conds = [(0, 0, "re")]
-    for a in range(2, lg + 1):
-        conds.append((a, 0, "re"))
-        conds.append((a, 0, "im"))
-    for l in range(3, lf + 1):
-        conds.append((l, 1, "re"))
-        conds.append((l, 1, "im"))
-    conds.extend(TAGGED_CONDITIONS)
-    return conds
-
-
-def _unknown_list(lf: int, lg: int) -> list:
-    unknowns = [("g", 0, "im")]
-    for l in range(2, lg + 1):
-        unknowns.append(("g", l, "re"))
-        unknowns.append(("g", l, "im"))
-    for l in range(3, lf + 1):
-        unknowns.append(("f", l, "re"))
-        unknowns.append(("f", l, "im"))
-    unknowns.extend(TAGGED_UNKNOWNS)
-    return unknowns
+def _labels(lf: int, lg: int) -> tuple:
+    """(conditions, unknowns) of a stage, in the order ``StageSystem`` describes."""
+    conditions, unknowns = [(0, 0, "re")], [("g", 0, "im")]
+    for kind, b, ls in (("g", 0, range(2, lg + 1)), ("f", 1, range(3, lf + 1))):
+        for l in ls:
+            for part in ("re", "im"):
+                conditions.append((l, b, part))
+                unknowns.append((kind, l, part))
+    return conditions + list(TAGGED_CONDITIONS), unknowns + list(TAGGED_UNKNOWNS)
 
 
 def _stage_bases(M: GraphSurface, k: int) -> tuple:
@@ -144,8 +133,7 @@ def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
     # u-levels above k is what later stages exist to remove
     check_u_linear_class(M_current, "stage system")
     lf, lg = n - 1 - k, n - k
-    conditions = _condition_list(lf, lg)
-    unknowns = _unknown_list(lf, lg)
+    conditions, unknowns = _labels(lf, lg)
     rows_at, cols_at = {}, {}
     for i, (a, b, part) in enumerate(conditions):
         rows_at.setdefault((a, b), [None, None])[part == "im"] = i
@@ -154,7 +142,7 @@ def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
     # integer entries over one denominator, the lcm of both bases'
     bases = _stage_bases(M_current, k)
     den = lcm(*(v.den for base in bases for v in base.terms.values()))
-    ints = [[0] * len(unknowns) for _ in conditions]
+    rows = [defaultdict(int) for _ in conditions]
     # a term lands on a slot (a, b) only if q <= b, or p <= b for its mirror
     reach = max(b for _, b, _ in conditions)
     for kind, top, base in zip("fg", (lf, lg), bases):
@@ -170,17 +158,18 @@ def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
                         continue
                     re_row, im_row = slot
                     if re_row is not None:
-                        ints[re_row][re_col] += x
-                        ints[re_row][im_col] -= y
+                        rows[re_row][re_col] += x
+                        rows[re_row][im_col] -= y
                     if im_row is not None:
-                        ints[im_row][re_col] += s * y
-                        ints[im_row][im_col] += s * x
+                        rows[im_row][re_col] += s * y
+                        rows[im_row][im_col] += s * x
     rhs = []
     for a, b, cpart in conditions:
         v = M_current.phi.coeff(a, b, k)
         rhs.append(-(v.re if cpart == "re" else v.im))
+    rows = [{j: x for j, x in row.items() if x} for row in rows]
     return StageSystem(k=k, unknowns=unknowns, conditions=conditions,
-                       numerators=ints, den=den, rhs=rhs)
+                       rows=rows, den=den, rhs=rhs)
 
 
 @dataclass
@@ -199,20 +188,21 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     """Exact solve by fraction-free elimination on sparse primitive integer rows.
 
     Condition i reads sum_j (x_j / den) v_j = b with b = p / q in lowest
-    terms, so its row is {j: x_j q} with target p den: integers, kept only
-    where nonzero.  The rows are taken in condition order.  A row holding
-    the column c of a pivot row P found before it, with P[c] = a and its own
-    entry e, becomes a r - e P (a and e divided by their gcd first), and its
-    target likewise; a row is reduced only against the pivots whose column
-    it holds, in the order they were found.  Its first column left then
-    becomes a pivot, and the row and target are divided by the gcd of all
-    their entries (Bareiss, Math. Comp. 22, 1968, removes content the same
-    way).  Every reduced row is a rational multiple of the row that
-    elimination over Q gives, so pivots, free unknowns and dropped
-    conditions are the same.  Values come from back-substitution in reverse
-    pivot order, in ``Fraction``s.  Every leftover target is recomputed from
-    the original integer rows, with the values over their common
-    denominator, so each nonzero leftover is one ``Fraction``.
+    terms, so its row is {j: x_j q} with target p den.  The rows are taken
+    in condition order.  A row holding the column c of a pivot row P found
+    before it, with P[c] = a and its own entry e, becomes a r - e P (a and e
+    divided by their gcd first), and its target likewise; a row is reduced
+    only against the pivots whose column it holds, in the order they were
+    found.  Its first column left then becomes a pivot, and the row and
+    target are divided by the gcd of all their entries, signed so that the
+    pivot entry is positive (Bareiss, Math. Comp. 22, 1968, removes content
+    the same way).  Every reduced row is a rational multiple of the row
+    that elimination over Q gives, so pivots, free unknowns and dropped
+    conditions are the same.  Back-substitution in reverse pivot order
+    keeps the values as integers V over their lcm denominator L: the pivot
+    row on column c gives v_c = s / (L a), a = P[c], so V and L are scaled
+    by a / gcd(a, s) and V_c = s / gcd(a, s).  The leftovers are recomputed
+    from the original rows; only they and the values become ``Fraction``s.
     Nonsingular systems give the unique solution.
     Singular ones: under "strict" raise, naming the stage as resonant; under
     "gauge_zero" the free variables (the non-pivot columns) are set to zero,
@@ -225,8 +215,9 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     # pivot column -> (primitive row, target), in the order found; a pivot
     # row vanishes at the pivot columns found before it
     pivots, dropped = {}, []
-    for cond, row, b in zip(sys.conditions, sys.numerators, sys.rhs):
-        r = {j: x * b.denominator for j, x in enumerate(row) if x}
+    for cond, row, b in zip(sys.conditions, sys.rows, sys.rhs):
+        q = b.denominator
+        r = {j: x * q for j, x in row.items()}
         t = b.numerator * den
         for col, (p, pt) in pivots.items():
             e = r.get(col)
@@ -246,35 +237,42 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
                         del r[j]
                 t -= e * pt
         if r:
+            col = min(r)
             g = gcd(t, *r.values())
+            if r[col] < 0:
+                g = -g
             if g != 1:
                 r = {j: x // g for j, x in r.items()}
                 t //= g
-            pivots[min(r)] = (r, t)
+            pivots[col] = (r, t)
         elif t:
             dropped.append(cond)
     free = [u for j, u in enumerate(sys.unknowns) if j not in pivots]
     singular = bool(free) or bool(dropped)
     if singular and policy == "strict":
         raise ValueError(f"stage k={sys.k} is resonant: singular normalization system")
-    # free variables stay zero, and so does a pivot's own column until its
-    # row is solved, so the sum may run over the whole row
-    values = [Fraction(0)] * len(sys.unknowns)
+    # values = V / L; free variables stay zero, and so does a pivot's own
+    # column until its row is solved, so the sum may run over the whole row
+    V, L = [0] * len(sys.unknowns), 1
     for col, (p, t) in reversed(pivots.items()):
-        values[col] = (t - sum(x * values[j] for j, x in p.items())) / p[col]
-    # leftover of condition i: b - sum_j x_j V_j / (den L), with V = L * values
-    L = lcm(*(v.denominator for v in values))
-    V = [v.numerator * (L // v.denominator) for v in values]
+        a, s = p[col], t * L - sum(x * V[j] for j, x in p.items())
+        g = gcd(a, s)
+        if a != g:
+            m = a // g
+            V = [v * m for v in V]
+            L *= m
+        V[col] = s // g
+    # leftover of condition i: b - sum_j x_j V_j / (den L)
     residuals = []
-    for cond, row, b in zip(sys.conditions, sys.numerators, sys.rhs):
+    for cond, row, b in zip(sys.conditions, sys.rows, sys.rhs):
         q = b.denominator
-        left = b.numerator * den * L - q * sum(x * V[j] for j, x in enumerate(row) if x)
+        left = b.numerator * den * L - q * sum(x * V[j] for j, x in row.items())
         if left:
             residuals.append((cond, Fraction(left, q * den * L)))
     return StageSolution(
         k=sys.k,
         status="resonant" if singular else "solved",
-        values=dict(zip(sys.unknowns, values)),
+        values={u: Fraction(v, L) for u, v in zip(sys.unknowns, V)},
         free=free,
         dropped=dropped,
         residuals=residuals,

@@ -365,10 +365,5 @@ def scale_surface(M: GraphSurface, alpha: GaussianRational, s: Fraction) -> Grap
         raise ValueError("scaling must be a nonzero real rational")
     out = {}
     for (a, b, c), v in M.phi.terms.items():
-        e = b - a
-        rot = (alpha if e >= 0 else alpha.conjugate())
-        factor = ONE
-        for _ in range(abs(e)):
-            factor = factor * rot
-        out[(a, b, c)] = v * factor * GaussianRational(s ** (1 - c))
+        out[(a, b, c)] = v * alpha ** (b - a) * GaussianRational(s ** (1 - c))
     return GraphSurface(Series3(M.n, out))

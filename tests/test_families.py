@@ -221,7 +221,7 @@ class TestHt:
                         ("g", 0): GaussianRational(Fraction(1, 6 * m))}
         system = stage_system(gen_mm(m, n), k)
         vec = [getattr(at_k.get((kind, l), ZERO), part) for kind, l, part in system.unknowns]
-        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in system.numerators)
+        assert all(sum(x * vec[j] for j, x in row.items()) == 0 for row in system.rows)
         sol = solve_stage(system)
         assert sol.status == "resonant" and sol.free == [("f", 1, "re")]
 

@@ -3,7 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -21,8 +21,7 @@ from nfc.normalizer import (
     StageSystem,
     TAGGED_CONDITIONS,
     TAGGED_UNKNOWNS,
-    _condition_list,
-    _unknown_list,
+    _labels,
     apply_group_action,
     normalize,
     prenormalize_level1,
@@ -39,9 +38,14 @@ def surf(n, terms):
     return GraphSurface(Series3(n, terms))
 
 
+def numerators(sys: StageSystem) -> list:
+    """The dense integer view of a stage system's rows, over ``den``."""
+    return [[row.get(j, 0) for j in range(len(sys.unknowns))] for row in sys.rows]
+
+
 def entries(sys: StageSystem) -> list:
-    """The rational view of a stage system's rows: ``numerators[i][j] / den``."""
-    return [[Fraction(x, sys.den) for x in row] for row in sys.numerators]
+    """The rational view of a stage system's rows: ``rows[i].get(j, 0) / den``."""
+    return [[Fraction(x, sys.den) for x in row] for row in numerators(sys)]
 
 
 def genuine_probe_column(M: GraphSurface, k: int, kind: str, l: int, part: str) -> list:
@@ -55,7 +59,7 @@ def genuine_probe_column(M: GraphSurface, k: int, kind: str, l: int, part: str) 
     M2 = transform(M, m)
     lf, lg = n - 1 - k, n - k
     out = []
-    for a, b, cpart in _condition_list(lf, lg):
+    for a, b, cpart in _labels(lf, lg)[0]:
         v = M2.phi.coeff(a, b, k) - M.phi.coeff(a, b, k)
         out.append(v.re if cpart == "re" else v.im)
     return out
@@ -128,7 +132,11 @@ class TestStageSystem:
             lf, lg = 12 - 1 - k, 12 - k
             assert len(sys.unknowns) == 2 * (lf + 1) + 2 * (lg + 1)
             assert len(sys.conditions) == len(sys.unknowns)
-            assert len(sys.numerators) == len(sys.conditions)
+            assert len(sys.rows) == len(sys.conditions)
+            # each row maps columns of the system to nonzero integers
+            for row in sys.rows:
+                assert all(type(j) is int and 0 <= j < len(sys.unknowns) for j in row)
+                assert all(type(x) is int and x != 0 for x in row.values())
             # tagged_block reads the distinguished block off the trailing rows
             assert sys.conditions[-9:] == list(TAGGED_CONDITIONS)
             assert sys.unknowns[-9:] == list(TAGGED_UNKNOWNS)
@@ -208,8 +216,7 @@ def stage_system_reference(M, k):
         return (A - Ab) * (half / I) - psi * ((A + Ab) * half)
 
     lf, lg = n - 1 - k, n - k
-    conditions = _condition_list(lf, lg)
-    unknowns = _unknown_list(lf, lg)
+    conditions, unknowns = _labels(lf, lg)
     columns = []
     for kind, l, part in unknowns:
         d = delta(kind, l, ONE if part == "re" else I)
@@ -341,7 +348,7 @@ class TestStageAssembly:
         for M in self.SURFACES[name]():
             for k in range(2, M.n - 5):
                 sys = stage_system(M, k)
-                rows, nd = sys.numerators, len(sys.unknowns) - t
+                rows, nd = numerators(sys), len(sys.unknowns) - t
                 g0 = sys.unknowns.index(("g", 0, "im"))
                 assert sys.conditions[0] == (0, 0, "re")
                 assert [j for j, x in enumerate(rows[0]) if x] == [g0], (name, k)
@@ -512,7 +519,8 @@ class TestSolveStage:
                 rhs.append(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
         return StageSystem(k=2, unknowns=[("f", j, "re") for j in range(ncols)],
                            conditions=[(i, 0, "re") for i in range(len(rows))],
-                           numerators=rows, den=rng.choice((1, 2, 3, 6)), rhs=rhs)
+                           rows=[{j: x for j, x in enumerate(row) if x} for row in rows],
+                           den=rng.choice((1, 2, 3, 6)), rhs=rhs)
 
     def test_random_systems_match_reference(self):
         # the sparse solve assumes nothing of the stage layout; under strict
@@ -528,12 +536,18 @@ class TestSolveStage:
                     solve_stage(sys, "strict")
             else:
                 assert solve_stage(sys, "strict") == ref, trial
-            cols = [col for col, _ in _eliminate(sys.numerators, len(sys.unknowns))[0]]
+            cols = [col for col, _ in _eliminate(numerators(sys), len(sys.unknowns))[0]]
+            # two coprime value denominators > 1 make the back-substitution
+            # rescale its integer values and their common denominator
+            dens = {v.denominator for v in ref.values.values()} - {1}
+            coprime = any(gcd(a, b) == 1 for a in dens for b in dens)
             seen.add(ref.status)
             seen.update(name for name, hit in (("free", ref.free), ("dropped", ref.dropped),
-                                               ("pivots out of row order", cols != sorted(cols)))
+                                               ("pivots out of row order", cols != sorted(cols)),
+                                               ("coprime denominators", coprime))
                         if hit)
-        assert seen == {"solved", "resonant", "free", "dropped", "pivots out of row order"}
+        assert seen == {"solved", "resonant", "free", "dropped", "pivots out of row order",
+                        "coprime denominators"}
 
 
 class TestNormalize:
