@@ -32,13 +32,11 @@ from .surface import (
     ClassReport,
     GraphSurface,
     Jet7,
-    NabForm,
     check_normal_form,
     coefficient,
     infinitesimal_defect,
     jet7,
     map_defect,
-    to_nab,
     transform,
     validate_class,
 )

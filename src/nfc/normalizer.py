@@ -34,8 +34,9 @@ from math import gcd, lcm
 from .scalar import GaussianRational, ONE, ZERO
 from .series import FormalMap, HoloSeries2, Series3, compose_maps
 from .resonance import char_poly
-from .surface import (GraphSurface, _along_graph, _rho_gradient, check_u_linear_class,
-                      is_prenormalized_level1, jet7, scale_surface, transform)
+from .surface import (FLAT_ROWS, GraphSurface, _along_graph, _rho_gradient,
+                      check_u_linear_class, is_prenormalized_level1, jet7, scale_surface,
+                      transform)
 
 TAGGED_UNKNOWNS = (
     ("g", 1, "re"), ("g", 1, "im"),
@@ -45,14 +46,9 @@ TAGGED_UNKNOWNS = (
     ("f", 2, "re"), ("f", 2, "im"),
 )
 
-TAGGED_CONDITIONS = (
-    (1, 0, "re"), (1, 0, "im"),
-    (1, 1, "re"),
-    (2, 1, "re"), (2, 1, "im"),
-    (2, 2, "re"),
-    (3, 2, "re"), (3, 2, "im"),
-    (3, 3, "re"),
-)
+# the three low slots and the flat rows; a diagonal coefficient is real
+TAGGED_CONDITIONS = tuple((a, b, part) for a, b in ((1, 0), (1, 1), (2, 1)) + FLAT_ROWS
+                          for part in (("re",) if a == b else ("re", "im")))
 
 
 @dataclass
@@ -60,9 +56,9 @@ class StageSystem:
     """Exact affine stage-k system: matrix * unknowns = rhs targets zeros.
 
     Unknowns are the real components of f_{l,k-1} (0 <= l <= Lf = N-1-k) and
-    g_{l,k} (0 <= l <= Lg = N-k); conditions are the coefficients
-    phi_{a0k} (0 <= a <= Lg), phi_{l1k} (3 <= l <= Lf) and the distinguished
-    six of the complete normalization.  Counts match, so the matrix is
+    g_{l,k} (0 <= l <= Lg = N-k); conditions are the real components of the
+    level-k coefficients phi_{abk}, a >= b, that ``surface.condition_row``
+    constrains (a diagonal one is real).  Counts match, so the matrix is
     square.  Its entry (i, j) is ``rows[i][j] / den``, and ``rows[i]`` maps
     only the nonzero integers.  The non-distinguished condition i pairs with
     unknown i: (0, 0) re with g0 im, (a, 0) with g_a, (l, 1) with f_l; the
@@ -88,7 +84,10 @@ class StageSystem:
 
 
 def _labels(lf: int, lg: int) -> tuple:
-    """(conditions, unknowns) of a stage, in the order ``StageSystem`` describes."""
+    """(conditions, unknowns) of a stage, in the order ``StageSystem`` describes.
+
+    The condition slots are the level-k ones of ``surface.condition_row``.
+    """
     conditions, unknowns = [(0, 0, "re")], [("g", 0, "im")]
     for kind, b, ls in (("g", 0, range(2, lg + 1)), ("f", 1, range(3, lf + 1))):
         for l in ls:
@@ -284,6 +283,8 @@ def stage_map(sol: StageSolution, n: int) -> FormalMap:
     k = sol.k
     f_terms, g_terms = [], []
     for (kind, l, part), val in sol.values.items():
+        if not val:
+            continue
         coeff = GaussianRational(val) if part == "re" else GaussianRational(0, val)
         if kind == "f":
             f_terms.append(((l, k - 1), coeff))
@@ -295,15 +296,16 @@ def stage_map(sol: StageSolution, n: int) -> FormalMap:
 def prenormalize_level1(M: GraphSurface) -> tuple[GraphSurface, FormalMap]:
     """Choose f_{l0} inductively in l to reach phi_{l1} = 0 for l >= 2.
 
-    Accepts any surface with no c = 0 term, no phi_{a01} or phi_{0b1} term
-    and phi11 = 1; the u-levels c >= 2 may carry anything.  The map has g = 0
-    and f depending on z only, so it acts on each u-level separately and
-    leaves the levels above 1 unnormalized.  Under such a map z -> h(z),
-    level 1 transforms by phi'(h, conj h, u) = phi.  If the image has
-    phi'_{a1} = 0 for 2 <= a < l, only h conj(h) and phi'_{l1} h^l conj(h)
-    reach z^l zb, so phi'_{l1} = phi_{l1} - h_l.  Each step z -> z + c_l z^l
-    therefore takes c_l = phi_{l1} - h_l from the input and the map composed
-    so far, and the surface is transformed once, by the whole map.
+    Accepts any surface that ``check_u_linear_class`` accepts with
+    ``prenormalized=False``; the u-levels c >= 2 may carry anything.  The
+    map has g = 0 and f depending on z only, so it acts on each u-level
+    separately and leaves the levels above 1 unnormalized.  Under such a
+    map z -> h(z), level 1 transforms by phi'(h, conj h, u) = phi.  If the
+    image has phi'_{a1} = 0 for 2 <= a < l, only h conj(h) and
+    phi'_{l1} h^l conj(h) reach z^l zb, so phi'_{l1} = phi_{l1} - h_l.  Each
+    step z -> z + c_l z^l therefore takes c_l = phi_{l1} - h_l from the
+    input and the map composed so far, and the surface is transformed once,
+    by the whole map.
     """
     check_u_linear_class(M, "prenormalization", prenormalized=False)
     n = M.n
@@ -360,12 +362,14 @@ class NormalizationResult:
 def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> NormalizationResult:
     """Prenormalize, then run stages k = 2..K; exact throughout.
 
-    Accepts any surface with no c = 0 term, no phi_{a01} or phi_{0b1} term
-    and phi11 = 1.  The u-levels c >= 2 may carry anything, normal-coordinate
-    residue included: stage k clears every targeted coefficient at level k
-    itself.  So the output of ``normalize`` is a valid input again.
+    Accepts any surface that ``check_u_linear_class`` accepts with
+    ``prenormalized=False``.  The u-levels c >= 2 may carry anything,
+    normal-coordinate residue included: stage k clears every targeted
+    coefficient at level k itself.  So the output of ``normalize`` is a
+    valid input again.
 
-    The output satisfies every targeted condition at levels <= K except the
+    The targeted conditions are those that ``surface.condition_row``
+    declares.  The output satisfies each of them at levels <= K except the
     distinguished ones dropped at resonant stages under gauge_zero.  Residue
     at levels above K is left in place.  The cumulative map composes all
     stage maps.  The level-k block of the transform is affine in the stage

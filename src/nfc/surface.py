@@ -1,10 +1,11 @@
 """Hypersurface graphs Im w = phi(z, zb, Re w) and their transforms.
 
 A surface is held by its graphing series phi, which is Hermitian with
-phi(0) = 0 and d phi(0) = 0.  The class of interest is infinite type
-(phi(z, zb, 0) = 0), in normal coordinates (phi(z, 0, u) = 0), with
-phi_11 != 0, normalized to phi_11 = 1 by a z-scaling when the value is a
-rational square.
+phi(0) = 0 and d phi(0) = 0.  Which coefficients phi_abc the class and the
+normal form constrain is declared once, by ``condition_row``; the class
+checks, ``check_normal_form`` and the stage labels of ``normalizer`` all
+read it.  phi_11 != 0 is normalized to phi_11 = 1 by a z-scaling when the
+value is a rational square.
 
 All statements are certified to the truncation order N only.
 """
@@ -19,7 +20,6 @@ from .scalar import GaussianRational, ZERO, ONE, I, as_gaussian
 from .series import (
     FormalMap,
     HoloSeries2,
-    Series1,
     Series3,
     _Point,
     hermitian_conjugate,
@@ -67,7 +67,6 @@ class ClassReport:
     in_class: bool
     diagnostics: list = field(default_factory=list)
     rescaled: "GraphSurface | None" = None
-    order: int = 0
 
 
 @dataclass(frozen=True)
@@ -93,15 +92,29 @@ class Jet7:
         return cls(ZERO, ZERO, ZERO, ZERO, ZERO)
 
 
-@dataclass
-class NabForm:
-    """phi = u(|z|^2 + sum N_ab(u) z^a zb^b); entries keyed by (a, b).
+#: the rows (a, b), a >= b, whose u-derivative the normal form flattens
+FLAT_ROWS = ((2, 2), (3, 2), (3, 3))
 
-    N_ab is known to order N - a - b - 1, the highest u-power phi carries there.
+
+def condition_row(a: int, b: int, c: int) -> str | None:
+    """The condition that governs phi_abc, or None when the coefficient is free.
+
+    "u-free" (c = 0): infinite type, phi(z, zb, 0) = 0.  "row 0"
+    (min(a, b) = 0): normal coordinates at c = 1, N_a0 = 0 above.  "row 1"
+    (min(a, b) = 1, apart from the explicit phi_111): level-1
+    prenormalization at c = 1, N_a1 = 0 above.  "flat" ((a, b) or (b, a)
+    in ``FLAT_ROWS``, c >= 2): dN_ab/du = 0.  The first that applies wins.
     """
-
-    entries: dict
-    order: int
+    if c == 0:
+        return "u-free"
+    low, high = sorted((a, b))
+    if low == 0:
+        return "row 0"
+    if low == 1 and (high, c) != (1, 1):
+        return "row 1"
+    if c >= 2 and (high, low) in FLAT_ROWS:
+        return "flat"
+    return None
 
 
 def _is_rational_square(x: Fraction) -> Fraction | None:
@@ -122,17 +135,11 @@ def validate_class(M: GraphSurface) -> ClassReport:
     rescaled surface with phi11 = 1 (z -> z/r).
     """
     phi = M.phi
-    diagnostics = []
-    inf_type = True
-    normal = True
-    for key in sorted(phi.terms):
-        a, b, c = key
-        if c == 0:
-            inf_type = False
-            diagnostics.append(("infinite_type", key))
-        if (a == 0 or b == 0) and c >= 1:
-            normal = False
-            diagnostics.append(("normal_coordinates", key))
+    tags = {"u-free": "infinite_type", "row 0": "normal_coordinates"}
+    diagnostics = [(tags[row], key) for key in sorted(phi.terms)
+                   if (row := condition_row(*key)) in tags]
+    found = {tag for tag, _ in diagnostics}
+    inf_type, normal = "infinite_type" not in found, "normal_coordinates" not in found
     phi11 = phi.coeff(1, 1, 1)
     in_class = inf_type and normal
     rescaled = None
@@ -162,7 +169,6 @@ def validate_class(M: GraphSurface) -> ClassReport:
         in_class=in_class,
         diagnostics=diagnostics,
         rescaled=rescaled,
-        order=phi.n,
     )
 
 
@@ -175,36 +181,39 @@ def coefficient(M: GraphSurface, a: int, b: int, c: int) -> GaussianRational:
     return M.phi.coeff(a, b, c)
 
 
+def _level1_offenders(phi: Series3) -> list:
+    """The u-linear terms phi_{l1} and phi_{1l}, l >= 2, in sorted order."""
+    return sorted(key for key in phi.terms if key[2] == 1 and condition_row(*key) == "row 1")
+
+
 def is_prenormalized_level1(M: GraphSurface) -> bool:
     """phi_{l1} = 0 for l >= 2 (and conjugates), to order N."""
-    phi = M.phi
-    for (a, b, c) in phi.terms:
-        if c == 1 and ((b == 1 and a >= 2) or (a == 1 and b >= 2)):
-            return False
-    return True
+    return not _level1_offenders(M.phi)
 
 
 def check_u_linear_class(M: GraphSurface, what: str, prenormalized: bool = True):
     """Require the u-linear structure the stage machinery rests on.
 
-    The surface must have no c = 0 terms, clean u-linear rows (phi_{a0} = 0),
-    phi11 = 1 and, when ``prenormalized``, phi_{l1} = 0 for l >= 2.  Higher
-    u-levels are free: a partially normalized surface carries harmless
-    residue there.  The error names the lowest offending monomial, whatever
-    the order of phi's terms.
+    The surface must have no "u-free" term, no "row 0" term at c = 1,
+    phi11 = 1 and, when ``prenormalized``, no "row 1" term at c = 1 (see
+    ``condition_row``), checked in that order.  Higher u-levels are free: a
+    partially normalized surface carries harmless residue there.  The error
+    names the lowest offending monomial, whatever the order of phi's terms.
     """
     phi = M.phi
-    for (a, b, c) in sorted(phi.terms):
-        if c == 0:
+    for key in sorted(phi.terms):
+        row = condition_row(*key)
+        if row == "u-free":
             raise ValueError(f"{what} requires an infinite-type surface "
-                             f"(found u-free monomial {(a, b, c)})")
-        if c == 1 and (a == 0 or b == 0):
+                             f"(found u-free monomial {key})")
+        if row == "row 0" and key[2] == 1:
             raise ValueError(f"{what} requires normal coordinates at the u-linear "
-                             f"level (found {(a, b, c)})")
+                             f"level (found {key})")
     if phi.coeff(1, 1, 1) != ONE:
         raise ValueError(f"{what} requires phi11 = 1; use validate_class().rescaled first")
-    if prenormalized and not is_prenormalized_level1(M):
-        raise ValueError("surface not prenormalized (phi_{l1} != 0 for some l >= 2)")
+    if prenormalized and (offenders := _level1_offenders(phi)):
+        raise ValueError(f"{what} requires phi_{{l1}} = 0 for l >= 2: surface not "
+                         f"prenormalized (found {offenders[0]})")
 
 
 def jet7(M: GraphSurface) -> Jet7:
@@ -221,23 +230,6 @@ def jet7(M: GraphSurface) -> Jet7:
     )
 
 
-def to_nab(M: GraphSurface) -> NabForm:
-    """Re-present phi as u(|z|^2 + sum N_ab(u) z^a zb^b)."""
-    if M.phi.coeff(1, 1, 1) != ONE:
-        raise ValueError("N_ab presentation requires phi11 = 1")
-    for key in M.phi.terms:
-        if key[2] == 0:
-            raise ValueError("N_ab presentation requires an infinite-type surface")
-    entries: dict = {}
-    for (a, b, c), v in M.phi.terms.items():
-        if (a, b, c) != (1, 1, 1):  # the explicit |z|^2
-            entries.setdefault((a, b), {})[(c - 1,)] = v
-    return NabForm(
-        entries={(a, b): Series1(M.n - a - b - 1, ts) for (a, b), ts in sorted(entries.items())},
-        order=M.n,
-    )
-
-
 @dataclass
 class NormalFormReport:
     """check_normal_form outcome: every violated condition with its monomial."""
@@ -245,7 +237,6 @@ class NormalFormReport:
     ok: bool
     violations_zero_rows: list   # (1.8)-type: N_a0 = N_a1 = 0
     violations_flat: list        # (1.9)-type: dN_22/du = dN_32/du = dN_33/du = 0
-    order: int
 
     def violations(self):
         return self.violations_zero_rows + self.violations_flat
@@ -254,28 +245,25 @@ class NormalFormReport:
 def check_normal_form(M: GraphSurface) -> NormalFormReport:
     """Report every violated normal-form condition, to order N.
 
-    Zero-row conditions: phi_{a0c} = 0 and phi_{a1c} = 0 for all a, c apart
-    from the explicit phi_{111} = 1.  Flatness conditions: phi_{22c} =
-    phi_{32c} = phi_{33c} = 0 for c >= 2.  Normal-coordinate residue at high
-    u-levels shows up as zero-row violations rather than an error, so the
-    checker applies to partially normalized surfaces too.
+    Every term that ``condition_row`` assigns to a condition violates it;
+    the flat ones are listed apart from the rest.  Normal-coordinate residue
+    at high u-levels shows up as zero-row violations rather than an error,
+    so the checker applies to partially normalized surfaces too.
     """
     if M.phi.coeff(1, 1, 1) != ONE:
         raise ValueError("normal-form check requires phi11 = 1")
     zero_rows = []
     flat = []
-    for (a, b, c) in sorted(M.phi.terms):
-        if (a, b, c) == (1, 1, 1):
-            continue
-        if b in (0, 1) or a in (0, 1) or c == 0:
-            zero_rows.append((a, b, c))
-        elif c >= 2 and (a, b) in ((2, 2), (3, 2), (2, 3), (3, 3)):
-            flat.append((a, b, c))
+    for key in sorted(M.phi.terms):
+        row = condition_row(*key)
+        if row == "flat":
+            flat.append(key)
+        elif row is not None:
+            zero_rows.append(key)
     return NormalFormReport(
         ok=not zero_rows and not flat,
         violations_zero_rows=zero_rows,
         violations_flat=flat,
-        order=M.n,
     )
 
 

@@ -11,16 +11,16 @@ from nfc.surface import (
     check_normal_form,
     check_u_linear_class,
     coefficient,
+    condition_row,
     infinitesimal_defect,
     jet7,
     map_defect,
     scale_surface,
-    to_nab,
     transform,
     validate_class,
 )
 from nfc.families import gen_Ht, gen_X, gen_cd, gen_mm, gen_mmt, gen_quadric
-from nfc.normalizer import normalize
+from nfc.normalizer import _labels, normalize
 import nfc.normalizer
 
 from test_normalizer import _messy_surface
@@ -146,49 +146,57 @@ class TestCheckULinearClass:
                          (2, 0, 1): I, (0, 2, 1): -I})
         with pytest.raises(ValueError, match=r"u-linear level \(found \(0, 2, 1\)\)"):
             check_u_linear_class(mixed, "test")
+        level1 = surf(9, {(1, 1, 1): 1, (3, 1, 1): 1, (2, 1, 1): I, (1, 3, 1): 1, (1, 2, 1): -I})
+        with pytest.raises(ValueError, match=r"^test requires .* not prenormalized "
+                                             r"\(found \(1, 2, 1\)\)$"):
+            check_u_linear_class(level1, "test")
+        check_u_linear_class(level1, "test", prenormalized=False)
+
+    def test_level1_checked_last(self):
+        # the u-free and normal-coordinate errors come first, then phi11 = 1
+        both = surf(9, {(1, 1, 1): 1, (2, 1, 1): 1, (1, 2, 1): 1, (3, 0, 1): 1, (0, 3, 1): 1})
+        with pytest.raises(ValueError, match=r"u-linear level \(found \(0, 3, 1\)\)"):
+            check_u_linear_class(both, "test")
+        scaled = surf(9, {(1, 1, 1): 4, (2, 1, 1): 1, (1, 2, 1): 1})
+        with pytest.raises(ValueError, match=r"requires phi11 = 1; use validate_class"):
+            check_u_linear_class(scaled, "test")
 
 
-class TestNabForm:
+class TestCheckNormalForm:
+    def test_condition_row(self):
+        expected = {(1, 1, 0): "u-free", (3, 0, 2): "row 0", (0, 2, 1): "row 0",
+                    (1, 1, 1): None, (1, 1, 2): "row 1", (1, 4, 1): "row 1",
+                    (2, 3, 2): "flat", (3, 3, 5): "flat", (2, 2, 1): None, (4, 2, 3): None}
+        assert {key: condition_row(*key) for key in expected} == expected
+
     def test_quadric_all_zero(self):
-        nab = to_nab(gen_quadric(8))
-        assert nab.entries == {}
         assert check_normal_form(gen_quadric(8)).ok
 
     def test_flatness_violation(self):
         M = surf(8, {(1, 1, 1): 1, (2, 2, 2): 1})
-        nab = to_nab(M)
-        assert [str(nab.entries[(2, 2)].coeff(j)) for j in range(2)] == ["0", "1"]  # N22(u) = u
         rep = check_normal_form(M)
         assert not rep.ok and rep.violations_flat == [(2, 2, 2)]
 
     def test_cd_normal(self):
-        M = gen_cd(1, 2, 9)
-        nab = to_nab(M)
-        assert nab.entries[(2, 2)].coeff(0) == GaussianRational(Fraction(1, 4))
-        assert nab.entries[(3, 3)].coeff(0) == GaussianRational(Fraction(2, 36))
-        assert check_normal_form(M).ok
+        assert check_normal_form(gen_cd(1, 2, 9)).ok
 
     def test_zero_row_violation(self):
-        M = surf(8, {(1, 1, 1): 1, (2, 1, 2): 1, (1, 2, 2): 1})
+        M = surf(8, {(1, 1, 1): 1, (2, 1, 2): 1, (1, 2, 2): 1, (2, 2, 0): 1})
         rep = check_normal_form(M)
         assert not rep.ok
         assert (2, 1, 2) in rep.violations_zero_rows
+        assert (2, 2, 0) in rep.violations_zero_rows
 
-    def test_requires_unit_phi11(self):
-        with pytest.raises(ValueError, match="phi11 = 1"):
-            to_nab(surf(8, {(1, 1, 1): 4}))
-
-    def test_each_entry_keeps_its_own_order(self):
-        # phi_abc with a + b + c <= N gives u^(c-1) in N_ab, so N_ab is
-        # known exactly to order N - a - b - 1
-        M = surf(8, {(1, 1, 1): 1, (0, 0, 8): 1, (2, 0, 6): 1, (0, 2, 6): 1, (2, 2, 2): 1})
-        nab = to_nab(M)
-        assert {ab: (s.n, s.terms) for ab, s in nab.entries.items()} == {
-            (0, 0): (7, {(7,): ONE}),
-            (2, 0): (5, {(5,): ONE}),
-            (0, 2): (5, {(5,): ONE}),
-            (2, 2): (3, {(1,): ONE}),
-        }
+    def test_flags_the_stage_condition_slots(self):
+        # with every level-k monomial present, the flagged slots at level k
+        # are exactly the stage-k conditions and their conjugates
+        for n in range(8, 21):
+            for k in range(2, n - 5):
+                terms = {(a, b, k): 1 for a in range(n - k + 1) for b in range(n - k - a + 1)}
+                M = surf(n, {**terms, (1, 1, 1): 1})
+                flagged = {(a, b) for a, b, c in check_normal_form(M).violations() if c == k}
+                slots = {(a, b) for a, b, _ in _labels(n - 1 - k, n - k)[0]}
+                assert flagged == slots | {(b, a) for a, b in slots}, (n, k)
 
 
 class TestTransform:
