@@ -152,6 +152,12 @@ def _parse_term(toks: _Tokens) -> Series3:
 
 
 def _parse_factor(toks: _Tokens) -> Series3:
+    # a unary sign applies after the power: -z^2 is -(z^2)
+    kind = toks.peek()[0]
+    if kind in ("+", "-"):
+        toks.take()
+        inner = _parse_factor(toks)
+        return -inner if kind == "-" else inner
     base = _parse_atom(toks)
     while toks.peek()[0] == "^":
         toks.take()
@@ -182,12 +188,6 @@ def _parse_atom(toks: _Tokens) -> Series3:
         inner = _parse_expr(toks)
         toks.take(")")
         return inner
-    if kind == "-":
-        toks.take()
-        return -_parse_atom(toks)
-    if kind == "+":
-        toks.take()
-        return _parse_atom(toks)
     raise ParseError(f"column {pos + 1}: unexpected token {kind!r}")
 
 

@@ -183,6 +183,11 @@ class StageSolution:
     residuals: list = field(default_factory=list)  # (condition, leftover target value)
 
 
+def _check_policy(policy: str):
+    if policy not in ("strict", "gauge_zero"):
+        raise ValueError(f"unknown policy {policy!r}")
+
+
 def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     """Exact solve by fraction-free elimination on sparse primitive integer rows.
 
@@ -208,8 +213,7 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     inconsistent target equations are dropped and their leftover values
     recorded.
     """
-    if policy not in ("strict", "gauge_zero"):
-        raise ValueError(f"unknown policy {policy!r}")
+    _check_policy(policy)
     den = sys.den
     # pivot column -> (primitive row, target), in the order found; a pivot
     # row vanishes at the pivot columns found before it
@@ -386,6 +390,7 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
     diagonal blocks (g_a on (a, 0), f_l on (l, 1)).  So det(system) is
     det(9x9 block) times a nonzero factor.
     """
+    _check_policy(policy)
     n = M.n
     if K < 1:
         raise ValueError(f"K={K} must be at least 1")

@@ -318,12 +318,6 @@ class KPoly:
             return hash(self.coeffs[0]) if self.coeffs else hash(0)
         return hash(self.coeffs)
 
-    def real_imag_parts(self) -> tuple["KPoly", "KPoly"]:
-        """Split into polynomials of the real / imaginary coefficient parts."""
-        re = KPoly([GaussianRational(c.re) for c in self.coeffs])
-        im = KPoly([GaussianRational(c.im) for c in self.coeffs])
-        return re, im
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -370,63 +364,63 @@ def integer_roots_ge2(p: KPoly) -> list[int]:
     """All integer roots k >= 2 of p, sorted ascending.
 
     A root of a polynomial with Gaussian coefficients must kill the real and
-    imaginary coefficient polynomials simultaneously.  One nonzero part,
-    with powers of k factored out and denominators cleared, is reduced to
-    its square-free part q.  Every root of q lies in (1, B] for the bound B
-    of ``_root_bound``; Sturm counts split that interval until each piece
-    holds one root, which sign bisection of q narrows to one integer.  Each
-    integer found is checked by exact evaluation of p itself, so the list is
-    complete with no search ceiling.
+    imaginary coefficient polynomials simultaneously.  Over the lcm of all
+    denominators, the real numerators (or the imaginary ones, when every
+    real part is 0), with powers of k stripped, form an integer polynomial
+    c.  No root of c exceeds the bound B of ``_root_bound``, so the unit
+    cells of ``_root_cells`` on [2, B] hold every real root >= 2.  Each cell
+    end where c vanishes is checked by exact evaluation of p itself, so the
+    list is complete with no search ceiling.
     """
     if p.is_zero():
         raise ValueError("identically zero polynomial has all integers as roots")
-    re_p, im_p = p.real_imag_parts()
-    part = im_p if re_p.is_zero() else re_p
-    coeffs = list(part.coeffs)
-    while coeffs and coeffs[0].is_zero():
-        coeffs.pop(0)
-    lcm_den = math.lcm(*(c.den for c in coeffs))
-    ints = [c.nre * (lcm_den // c.den) for c in coeffs]
-    if len(ints) == 1:
+    lcm_den = math.lcm(*(c.den for c in p.coeffs))
+    c = [a.nre * (lcm_den // a.den) for a in p.coeffs]
+    if not any(c):
+        c = [a.nim * (lcm_den // a.den) for a in p.coeffs]
+    # the part taken may have lower degree than p, and _root_bound reads its
+    # leading coefficient
+    while c[-1] == 0:
+        c.pop()
+    while c[0] == 0:
+        c.pop(0)
+    hi = _root_bound(c)
+    ends = {y for x in _root_cells(c, 2, hi) for y in (x, x + 1) if y <= hi}
+    return sorted(
+        x for x in ends
+        if _int_eval(c, x) == 0 and kpoly_eval(p, GaussianRational(x)).is_zero()
+    )
+
+
+def _root_cells(c: list, lo: int, hi: int) -> list:
+    """Integers x in [lo, hi] such that every real root of c in [lo, hi]
+    lies in some [x, x + 1]; c is a nonzero integer polynomial.
+
+    Every cell of c' is a cell of c.  Between consecutive cells c' has no
+    root, so c is monotone there and has a root in such a gap iff it changes
+    sign or vanishes at one of the gap's ends; integer bisection narrows
+    that root to one cell.  A multiple root of c is a root of c', so it
+    already lies in a cell.
+    """
+    if len(c) < 2:
         return []
-    seq = _sturm_sequence(ints)
-    if len(seq[-1]) > 1:
-        # repeated roots: the last remainder is gcd(part, part'); divide it out
-        seq = _sturm_sequence(_exact_quotient(ints, seq[-1]))
-    q = seq[0]
-
-    def variations(x: int) -> int:
-        signs = [v for v in (_int_eval(s, x) for s in seq) if v]
-        return sum(1 for a, b in zip(signs, signs[1:]) if (a < 0) != (b < 0))
-
-    roots = []
-    hi = _root_bound(q)
-    todo = [(1, variations(1), hi, variations(hi))]
-    while todo:
-        # q has vlo - vhi distinct roots in (lo, hi]
-        lo, vlo, hi, vhi = todo.pop()
-        count = vlo - vhi
-        if count == 0:
+    cells = _root_cells([i * a for i, a in enumerate(c)][1:], lo, hi)
+    out = set(cells)
+    for a, b in zip([lo] + [x + 1 for x in cells], cells + [hi]):
+        if a > b:
             continue
-        if count > 1 and hi - lo > 1:
-            mid = (lo + hi) // 2
-            vmid = variations(mid)
-            todo += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
+        ca = _int_eval(c, a)
+        if ca and ca * _int_eval(c, b) > 0:
             continue
-        x = hi
-        q_hi = _int_eval(q, hi)
-        if count == 1 and q_hi:
-            # one simple root r in (lo, hi): q has the sign of q(hi) exactly on [r, hi]
-            a = lo
-            while x - a > 1:
-                m = (a + x) // 2
-                if _int_eval(q, m) * q_hi >= 0:
-                    x = m
-                else:
-                    a = m
-        if _int_eval(q, x) == 0 and kpoly_eval(p, GaussianRational(x)).is_zero():
-            roots.append(x)
-    return sorted(roots)
+        # the one root r of the gap lies in (a, b], or r = a
+        while ca and b - a > 1:
+            m = (a + b) // 2
+            if _int_eval(c, m) * ca > 0:
+                a = m
+            else:
+                b = m
+        out.add(a)
+    return sorted(out)
 
 
 def _int_eval(c: list, x: int) -> int:
@@ -451,44 +445,3 @@ def _root_bound(c: list) -> int:
         if c[n - i]:
             e = max(e, -(-(abs(c[n - i]).bit_length() - lead_bits + 1) // i))
     return 2 ** (e + 1)
-
-
-def _sturm_sequence(c: list) -> list:
-    """Sturm sequence c, c', -rem, ... over the integers, each term primitive.
-
-    Remainders are taken after scaling by a positive power of the divisor's
-    leading coefficient, so every term keeps its sign; the last term is
-    gcd(c, c') up to a positive constant.
-    """
-    seq = [_primitive(c), _primitive([i * a for i, a in enumerate(c)][1:])]
-    while len(seq[-1]) > 1:
-        r, b = list(seq[-2]), seq[-1]
-        lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-        while len(r) >= len(b):
-            f, shift = sign * r[-1], len(r) - len(b)
-            r = [a * lead for a in r]
-            for i, bi in enumerate(b):
-                r[i + shift] -= f * bi
-            while r and r[-1] == 0:
-                r.pop()
-        if not r:
-            break
-        seq.append(_primitive([-a for a in r]))
-    return seq
-
-
-def _primitive(c: list) -> list:
-    """c divided by the positive gcd of its coefficients."""
-    g = math.gcd(*c)
-    return [a // g for a in c]
-
-
-def _exact_quotient(a: list, b: list) -> list:
-    """a / b for integer polynomials where b is primitive and divides a."""
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        out[i] = a[i + len(b) - 1] // b[-1]
-        for j, bj in enumerate(b):
-            a[i + j] -= out[i] * bj
-    return out

@@ -10,8 +10,7 @@ a subclass names its variables in ``VARS`` and decodes packed keys:
 * ``HoloSeries2`` -- holomorphic series in (z, w); used for map components
   and vector fields.
 * ``Series1`` -- series in one variable x; used for the transcendental
-  generator math (arcsin, tan, exp, rational powers, the q_T ODE) and the
-  N_ab(u) of a surface.
+  generator math (arcsin, tan, exp, rational powers, the q_T ODE).
 
 ``substitute`` composes a series of any kind with replacements of any kind,
 so the family generators run on the same core and kernel as the

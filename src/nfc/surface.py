@@ -320,9 +320,9 @@ def map_defect(M: GraphSurface, m: FormalMap, Mtarget: GraphSurface) -> Series3:
 
     Zero iff m maps M into Mtarget to order N.
     """
-    T, v1 = _image_point(M, m)
     if Mtarget.n != M.n:
         raise ValueError(f"mismatched truncation orders {Mtarget.n} != {M.n}")
+    T, v1 = _image_point(M, m)
     return v1 - T.compose(Mtarget.phi)
 
 

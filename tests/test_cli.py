@@ -58,6 +58,27 @@ class TestExpressionParser:
         with pytest.raises(ParseError, match="expected 'num'"):
             parse_expression("z^(2)")
 
+    def test_unary_sign_applies_after_the_power(self):
+        assert parse_expression("-z^2") == {(2, 0, 0): -ONE}
+        assert parse_expression("-z^2*zb^2*u") == {(2, 2, 1): -ONE}
+        assert parse_expression("-2^2") == {(0, 0, 0): GaussianRational(-4)}
+        assert parse_expression("--z^2") == {(2, 0, 0): ONE}
+        assert parse_expression("z*-z") == {(2, 0, 0): -ONE}
+        assert parse_expression("u*z*zb + (-z^2*zb^2*u)") == {(1, 1, 1): ONE, (2, 2, 1): -ONE}
+        with pytest.raises(ParseError, match="column 2: unexpected token 'end'"):
+            parse_expression("-")
+
+    def test_spaced_rational(self):
+        assert parse_expression("3 / 4*u") == {(0, 0, 1): GaussianRational(Fraction(3, 4))}
+
+    def test_lexer_errors(self):
+        with pytest.raises(ParseError, match="column 3: expected denominator digits"):
+            parse_expression("3/")
+        with pytest.raises(ParseError, match="column 3: zero denominator"):
+            parse_expression("1/0")
+        with pytest.raises(ParseError, match="column 2: unexpected character '\\$'"):
+            parse_expression("z$")
+
 
 def test_nested_powers_expand_in_full():
     # the parse order is read off the tokens, so nothing is truncated, and no
@@ -149,6 +170,20 @@ class TestCommands:
         assert rep["results"]["defect_zero"] is True
         assert rep["results"]["order"] == 11
 
+    def test_verify_map_target_file(self, capsys, tmp_path):
+        argv = ["verify-map", "--family", "mm", "--m", "1", "--map", "ht", "--t", "1",
+                "--order-total", "11", "--target"]
+        same = tmp_path / "same.json"
+        same.write_text(json.dumps({"order": 11, "family": {"name": "mm", "m": 1}}))
+        code, out, _ = run_cli(capsys, *argv, str(same))
+        assert code == 0
+        assert json.loads(out)["results"]["defect_zero"] is True
+        lower = tmp_path / "lower.json"
+        lower.write_text(json.dumps({"order": 9, "family": {"name": "mm", "m": 1}}))
+        code, out, err = run_cli(capsys, *argv, str(lower))
+        assert (code, out) == (1, "")
+        assert "mismatched truncation orders 9 != 11" in err
+
     def test_verify_field_builtin(self, capsys):
         code, out, _ = run_cli(capsys, "verify-field", "--family", "mmt",
                                "--m", "1", "--T", "1", "--order-total", "9")
@@ -190,6 +225,16 @@ class TestCommands:
         code, _, err = run_cli(capsys, "resonances")
         assert code == 2
         assert "no surface" in err
+
+    def test_unreadable_spec_file_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "charpoly", "--surface", str(tmp_path / "absent.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("nfc: input error:") and "absent.json" in err
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"order": 9, "expr": ')
+        code, out, err = run_cli(capsys, "charpoly", "--surface", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("nfc: input error: Expecting value")
 
     def test_domain_error_exit_1(self, capsys):
         # not in the class: phi11 = 0

@@ -648,6 +648,11 @@ class TestNormalize:
             with pytest.raises(ValueError, match=f"K={K} must be at least 1"):
                 normalize(gen_quadric(10), K)
 
+    def test_policy_checked_without_stages(self):
+        # at K = 1 no stage runs, so solve_stage never sees the policy
+        with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+            normalize(gen_quadric(10), 1, policy="bogus")
+
     def test_class_required(self):
         bad = surf(10, {(1, 1, 1): 4})
         with pytest.raises(ValueError, match=r"phi11 = 1; use validate_class\(\)\.rescaled"):

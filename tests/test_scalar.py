@@ -209,6 +209,54 @@ class TestIntegerRoots:
             q = kp(-r2, 1)
             assert integer_roots_ge2(p * q) == sorted({r1, r2})
 
+    def test_named_root_layouts(self):
+        def roots_at(*rs):
+            p = KPoly([ONE])
+            for r in rs:
+                p = p * kp(-Fraction(r), 1)
+            return p
+
+        # two real roots in the unit cell (3, 4) beside the integer root 4
+        assert integer_roots_ge2(roots_at(Fraction(7, 2), Fraction(11, 3), 4)) == [4]
+        big = 2**40
+        assert integer_roots_ge2(roots_at(big, big, big, 5, 2)) == [2, 5, big]
+        assert integer_roots_ge2(roots_at(1, 0, -5, Fraction(3, 2))) == []
+        assert integer_roots_ge2(roots_at(2, 2, Fraction(9, 4), Fraction(5, 2))) == [2]
+        assert integer_roots_ge2(roots_at(3, 7) * I) == [3, 7]
+        # the real part has lower degree than p
+        assert integer_roots_ge2(roots_at(100, 9) + roots_at(100, 6, 1) * I) == [100]
+
+    def test_matches_brute_force_scan(self, make):
+        # an integer polynomial has no root beyond the Cauchy bound
+        # 1 + max |c_i / c_n|, so a scan of every integer in [2, bound] is a
+        # complete oracle when the bound is small
+        rng = make.rng
+        checked = 0
+        while checked < 150:
+            p = KPoly([GaussianRational(rng.choice([1, -2, 3]))])
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.5:
+                    p = p * kp(-rng.randint(-8, 60), 1)
+                else:
+                    p = p * kp(*(rng.randint(-30, 30) for _ in range(rng.randint(2, 4))))
+            if p.is_zero():
+                continue
+            if rng.random() < 0.2:
+                p = p * I
+            c = [a.nre or a.nim for a in p.coeffs]
+            bound = 1 + max(abs(a) for a in c[:-1]) // abs(c[-1]) + 1 if len(c) > 1 else 1
+            if bound > 2**12:
+                continue
+            expect = []
+            for x in range(2, bound + 1):
+                acc = 0
+                for a in reversed(c):
+                    acc = acc * x + a
+                if acc == 0:
+                    expect.append(x)
+            assert integer_roots_ge2(p) == expect, p
+            checked += 1
+
     def test_returned_roots_evaluate_to_zero(self, make):
         for _ in range(15):
             roots = sorted({make.rng.randint(2, 12) for _ in range(3)})
