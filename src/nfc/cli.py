@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Surfaces come from a JSON spec file, inline family flags, or a small
-polynomial expression language in z, zb, u; reports are deterministic JSON
+A surface comes from exactly one of a JSON spec file, inline flags for a
+built-in family (families.BUILTINS declares the built-ins and their
+defaults), or a small polynomial expression language in z, zb, u; reports
+are deterministic JSON
 (or plain text) with every number serialized exactly.  Exit status: 0 on
 success, 1 on domain errors (class violations, resonant stage under
 --policy strict), 2 on usage or parse errors.
@@ -18,6 +20,7 @@ it, never a silent drop.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -45,7 +48,7 @@ from .surface import (
 )
 from .resonance import char_poly
 from .normalizer import normalize
-from .families import (FAMILY_PARAMS, FamilySpec, gen_cd, gen_Ht, gen_mm, gen_mmt,
+from .families import (BUILTINS, FamilySpec, gen_cd, gen_Ht, gen_mm, gen_mmt,
                        gen_quadric, gen_X, generate)
 
 DEFAULT_ORDER = 13
@@ -81,8 +84,8 @@ class _Tokens:
                 i += 1
                 continue
             start = i
-            if ch.isdigit():
-                while i < n and text[i].isdigit():
+            if ch.isdecimal():
+                while i < n and text[i].isdecimal():
                     i += 1
                 num = int(text[start:i])
                 j = i
@@ -93,7 +96,7 @@ class _Tokens:
                     while j < n and text[j].isspace():
                         j += 1
                     dstart = j
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
                     if dstart == j:
                         raise ParseError(f"column {j + 1}: expected denominator digits")
@@ -212,6 +215,19 @@ def _literal(val, what: str, integer: bool = False):
         raise ParseError(f"{what} must be {kind} literal, got {val!r}") from None
 
 
+def _param(key: str, val):
+    """The exact value of a built-in's parameter: m is an integer, the rest rationals."""
+    return _literal(val, key, integer=key == "m")
+
+
+def _builtin(kind: str, name, what: str):
+    """The BUILTINS entry of one kind for a name taken from a spec."""
+    builtin = BUILTINS[kind].get(name) if isinstance(name, str) else None
+    if builtin is None:
+        raise ParseError(f"unknown {what} {name!r}")
+    return builtin
+
+
 def _count(val, what: str) -> int:
     """A spec literal that must be a non-negative integer: an exponent or an order."""
     n = _literal(val, what, integer=True)
@@ -262,11 +278,6 @@ def _read_items(items, cls, order: int, what: str) -> dict:
     return terms
 
 
-def _holo_side(obj: dict, side: str, order: int) -> HoloSeries2:
-    """The HoloSeries2 of the items listed under obj[side]; zero when absent."""
-    return HoloSeries2(order, _read_items(obj.get(side, []), HoloSeries2, order, side))
-
-
 def _hermitian_check(terms: dict):
     for (a, b, c), v in terms.items():
         if terms.get((b, a, c), ZERO) != v.conjugate():
@@ -278,9 +289,8 @@ def surface_spec_to_obj(spec) -> dict:
     """Canonical JSON-ready form of a resolved surface spec."""
     out = {"order": spec["order"]}
     if "family" in spec:
-        fam = dict(spec["family"])
         out["family"] = {k: (v if isinstance(v, (str, int)) else rational_str(v))
-                         for k, v in fam.items()}
+                         for k, v in spec["family"].items()}
     else:
         out["series"] = [_term_obj(key, v) for key, v in sorted(spec["series"].items())]
     return out
@@ -299,60 +309,52 @@ def parse_surface_spec(obj, default_order: int = DEFAULT_ORDER) -> dict:
         fam = obj["family"]
         if not isinstance(fam, dict) or "name" not in fam:
             raise ParseError("family spec needs a name")
-        name = fam["name"]
-        if not isinstance(name, str) or name not in FAMILY_PARAMS:
-            raise ParseError(f"unknown family {name!r}")
-        params = {key: _literal(val, key, integer=key == "m")
-                  for key, val in fam.items() if key != "name"}
-        for key in FAMILY_PARAMS[name]:
-            if key not in params:
-                raise ParseError(f"family {name!r} needs the parameter {key}")
+        name, family = fam["name"], _builtin("surface", fam["name"], "family")
+        params = {key: _param(key, val) for key, val in fam.items() if key != "name"}
+        try:
+            family.values(params, f"family {name!r}")
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
         return {"order": order, "family": {"name": name, **params}}
     if kind == "series":
         terms = _read_items(obj["series"], Series3, order, "series")
-        _hermitian_check(terms)
-        return {"order": order, "series": terms}
-    text = obj["expr"]
-    if not isinstance(text, str):
+    elif isinstance(obj["expr"], str):
+        terms = parse_expression(obj["expr"])
+        for key in sorted(terms):
+            _check_degree(key, order, Series3.VARS)
+    else:
         raise ParseError("expr must be a string")
-    terms = parse_expression(text)
-    for key in sorted(terms):
-        _check_degree(key, order, Series3.VARS)
     _hermitian_check(terms)
     return {"order": order, "series": terms}
 
 
 def build_surface(spec) -> GraphSurface:
     if "family" in spec:
-        fam = spec["family"]
-        name = fam["name"]
-        params = {k: v for k, v in fam.items() if k != "name"}
-        return generate(FamilySpec(name=name, params=params, order=spec["order"]))
+        params = dict(spec["family"])
+        return generate(FamilySpec(name=params.pop("name"), params=params, order=spec["order"]))
     return GraphSurface(Series3(spec["order"], spec["series"]))
 
 
+def _holo_spec(obj, order: int, kind: str, sides: tuple, assemble):
+    """A map or field from a built-in or from the items under each side (zero when absent)."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{kind} spec must be a JSON object")
+    if "builtin" in obj:
+        builtin = _builtin(kind, obj["builtin"], f"builtin {kind}")
+        return builtin.build(*(_param(key, obj.get(key, default))
+                               for key, default in builtin.params.items()), order)
+    return assemble(*(HoloSeries2(order, _read_items(obj.get(side, []), HoloSeries2, order, side))
+                      for side in sides))
+
+
 def parse_map_spec(obj, order: int) -> FormalMap:
-    if not isinstance(obj, dict):
-        raise ParseError("map spec must be a JSON object")
-    if "builtin" in obj:
-        if obj["builtin"] != "ht":
-            raise ParseError(f"unknown builtin map {obj['builtin']!r}")
-        m = _literal(obj.get("m", 1), "m", integer=True)
-        t = _literal(obj.get("t", "1"), "t")
-        return gen_Ht(m, t, order)
-    return FormalMap(_holo_side(obj, "f", order), _holo_side(obj, "g", order))
+    """A map from {"builtin": "ht", m, t} or from the items of f and g."""
+    return _holo_spec(obj, order, "map", ("f", "g"), FormalMap)
 
 
-def parse_field_spec(obj, order: int):
-    if not isinstance(obj, dict):
-        raise ParseError("field spec must be a JSON object")
-    if "builtin" in obj:
-        if obj["builtin"] != "mmt":
-            raise ParseError(f"unknown builtin field {obj['builtin']!r}")
-        m = _literal(obj.get("m", 1), "m", integer=True)
-        T = _literal(obj.get("T", "1"), "T")
-        return gen_X(m, T, order)
-    return _holo_side(obj, "Xz", order), _holo_side(obj, "Xw", order)
+def parse_field_spec(obj, order: int) -> tuple[HoloSeries2, HoloSeries2]:
+    """A field (Xz, Xw) from {"builtin": "mmt", m, T} or from the items of Xz and Xw."""
+    return _holo_spec(obj, order, "field", ("Xz", "Xw"), lambda *sides: sides)
 
 
 # ---------------------------------------------------------------------------
@@ -433,39 +435,39 @@ def _load_json(path: str):
 
 
 def _resolve_surface(args) -> tuple[dict, GraphSurface]:
+    sources = [key for key in ("surface", "family", "expr") if getattr(args, key)]
+    if len(sources) != 1:
+        raise ParseError(f"{'more than one' if sources else 'no'} surface given:"
+                         " use exactly one of --surface, --family, --expr")
     if args.surface:
         raw = _load_json(args.surface)
     elif args.family:
-        fam = {"name": args.family}
-        for key in ("m", "T", "C", "D"):
-            if getattr(args, key) is not None:
-                fam[key] = getattr(args, key)
-        raw = {"family": fam}
-    elif args.expr:
-        raw = {"expr": args.expr}
+        # every family flag that is set, whether or not the family reads it
+        keys = dict.fromkeys(key for fam in BUILTINS["surface"].values() for key in fam.params)
+        raw = {"family": {"name": args.family, **{
+            key: getattr(args, key) for key in keys if getattr(args, key) is not None}}}
     else:
-        raise ParseError("no surface given: use --surface, --family or --expr")
+        raw = {"expr": args.expr}
     spec = parse_surface_spec(raw, default_order=args.order_total)
     return spec, build_surface(spec)
+
+
+def _builtin_raw(kind: str, name: str, args) -> dict:
+    """The raw spec of a built-in map or field: each parameter's flag, else its default."""
+    return {"builtin": name, **{key: default if getattr(args, key) is None else getattr(args, key)
+                                for key, default in BUILTINS[kind][name].params.items()}}
 
 
 def _resolve_map(args, order: int) -> tuple[dict, FormalMap]:
     if not args.map:
         raise ParseError("no map given: use --map FILE or --map ht")
-    if args.map == "ht":
-        raw = {"builtin": "ht", "m": args.m if args.m is not None else 1,
-               "t": args.t if args.t is not None else "1"}
-    else:
-        raw = _load_json(args.map)
+    raw = (_builtin_raw("map", args.map, args) if args.map in BUILTINS["map"]
+           else _load_json(args.map))
     return raw, parse_map_spec(raw, order)
 
 
 def _resolve_field(args, order: int):
-    if args.field:
-        raw = _load_json(args.field)
-    else:
-        raw = {"builtin": "mmt", "m": args.m if args.m is not None else 1,
-               "T": args.T if args.T is not None else "1"}
+    raw = _load_json(args.field) if args.field else _builtin_raw("field", "mmt", args)
     return raw, parse_field_spec(raw, order)
 
 
@@ -476,13 +478,7 @@ def _charpoly_payload(M: GraphSurface) -> dict:
         "char_poly": _kpoly_obj(rep.char_poly),
         "monic_constant": gaussian_to_obj(rep.monic_constant),
         "resonances": rep.resonances,
-        "jet7": {
-            "phi22": gaussian_to_obj(j.phi22),
-            "phi32": gaussian_to_obj(j.phi32),
-            "phi33": gaussian_to_obj(j.phi33),
-            "phi42": gaussian_to_obj(j.phi42),
-            "phi43": gaussian_to_obj(j.phi43),
-        },
+        "jet7": {f.name: gaussian_to_obj(getattr(j, f.name)) for f in dataclasses.fields(j)},
     }
 
 
@@ -492,13 +488,9 @@ def cmd_charpoly(args) -> dict:
 
 
 def cmd_resonances(args) -> dict:
-    spec, M = _resolve_surface(args)
-    rep = char_poly(jet7(M))
-    payload = {
-        "resonances": rep.resonances,
-        "monic_constant": gaussian_to_obj(rep.monic_constant),
-    }
-    return make_report(args.echo, payload, surface_spec_to_obj(spec))
+    report = cmd_charpoly(args)
+    report["results"] = {key: report["results"][key] for key in ("resonances", "monic_constant")}
+    return report
 
 
 def cmd_normalize(args) -> dict:
@@ -603,16 +595,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nfc {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, with_map=False, with_field=False):
-        p.add_argument("--surface", help="surface spec file (JSON)")
-        p.add_argument("--family", help="built-in family: quadric, cd, mm, mmt")
-        p.add_argument("--expr", help="surface expression in z, zb, u")
-        p.add_argument("--m", type=int, help="family parameter m")
-        p.add_argument("--T", help="family parameter T (rational)")
-        p.add_argument("--C", help="family parameter C (rational)")
-        p.add_argument("--D", help="family parameter D (rational)")
-        p.add_argument("--order-total", type=int, default=DEFAULT_ORDER,
-                       help=f"series truncation order N (default {DEFAULT_ORDER})")
+    def command(name, run, help, surface=True, with_map=False, with_field=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if surface:
+            p.add_argument("--surface", help="surface spec file (JSON)")
+            p.add_argument("--family", help=f"built-in family: {', '.join(BUILTINS['surface'])}")
+            p.add_argument("--expr", help="surface expression in z, zb, u")
+            p.add_argument("--m", type=int, help="family parameter m")
+            p.add_argument("--T", help="family parameter T (rational)")
+            p.add_argument("--C", help="family parameter C (rational)")
+            p.add_argument("--D", help="family parameter D (rational)")
+            p.add_argument("--order-total", type=int, default=DEFAULT_ORDER,
+                           help=f"series truncation order N (default {DEFAULT_ORDER})")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if with_map:
             p.add_argument("--map", help="map spec file (JSON) or 'ht'")
@@ -620,38 +615,23 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--target", help="target surface spec file (verify-map)")
         if with_field:
             p.add_argument("--field", help="field spec file (JSON); default built-in")
+        return p
 
-    p = sub.add_parser("charpoly", help="monic characteristic polynomial of the 7-jet")
-    common(p)
-    p = sub.add_parser("resonances", help="integer resonances k >= 2")
-    common(p)
-    p = sub.add_parser("normalize", help="run the stage-by-stage normalization")
-    common(p)
+    command("charpoly", cmd_charpoly, "monic characteristic polynomial of the 7-jet")
+    command("resonances", cmd_resonances, "integer resonances k >= 2")
+    p = command("normalize", cmd_normalize, "run the stage-by-stage normalization")
     p.add_argument("--order", type=int, help="last stage K (default N-6)")
     p.add_argument("--policy", choices=("strict", "gauge-zero"), default="gauge-zero")
     p.add_argument("--display-cutoff", type=int, default=9,
                    help="emit normal-form terms up to this total degree")
-    p = sub.add_parser("transform", help="transform a surface by a formal map")
-    common(p, with_map=True)
+    p = command("transform", cmd_transform, "transform a surface by a formal map", with_map=True)
     p.add_argument("--display-cutoff", type=int, default=9)
-    p = sub.add_parser("verify-map", help="check a map sends the surface into the target")
-    common(p, with_map=True)
-    p = sub.add_parser("verify-field", help="check a vector field is tangent to the surface")
-    common(p, with_field=True)
-    p = sub.add_parser("selftest", help="run the built-in example checks")
-    p.add_argument("--format", choices=("json", "text"), default="json")
+    command("verify-map", cmd_verify_map, "check a map sends the surface into the target",
+            with_map=True)
+    command("verify-field", cmd_verify_field, "check a vector field is tangent to the surface",
+            with_field=True)
+    command("selftest", cmd_selftest, "run the built-in example checks", surface=False)
     return parser
-
-
-_COMMANDS = {
-    "charpoly": cmd_charpoly,
-    "resonances": cmd_resonances,
-    "normalize": cmd_normalize,
-    "transform": cmd_transform,
-    "verify-map": cmd_verify_map,
-    "verify-field": cmd_verify_field,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
@@ -660,7 +640,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.echo = ["nfc"] + argv
     try:
-        report = _COMMANDS[args.cmd](args)
+        report = args.run(args)
     except ParseError as exc:
         print(f"nfc: parse error: {exc}", file=sys.stderr)
         return 2
@@ -671,7 +651,7 @@ def main(argv=None) -> int:
         print(f"nfc: {exc}", file=sys.stderr)
         return 1
     exit_code = report.pop("_exit", 0)
-    sys.stdout.write(emit(report, getattr(args, "format", "json")))
+    sys.stdout.write(emit(report, args.format))
     return exit_code
 
 

@@ -1,13 +1,16 @@
 """Exact generators for the example surfaces, maps and vector fields.
 
-Each generator returns a fully validated class surface with phi11 = 1.  The
-two transcendental families are built from real series only: M_m from
-tan(arcsin(x)/(2m)), M_{m,T} from tan(q_T/m), with q_T the compositional
-inverse of sin(x) e^{Tx}.  Their docstrings give the derivations.
+Each surface generator returns a fully validated class surface with
+phi11 = 1.  The two transcendental families are built from real series only:
+M_m from tan(arcsin(x)/(2m)), M_{m,T} from tan(q_T/m), with q_T the
+compositional inverse of sin(x) e^{Tx}.  Their docstrings give the
+derivations.  BUILTINS, at the end, declares each built-in input once (the
+families, the map H_t and the field X) with its generator and parameters.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,29 +23,32 @@ from .surface import GraphSurface, validate_class
 class FamilySpec:
     """Parsed form of a family request: name plus rational parameters."""
 
-    name: str                      # quadric | cd | mm | mmt
+    name: str                      # a key of BUILTINS["surface"]
     params: dict = field(default_factory=dict)
     order: int = 13
 
 
-#: the families ``generate`` knows and the parameters each requires; cd
-#: defaults C and D to 0
-FAMILY_PARAMS = {"quadric": (), "cd": (), "mm": ("m",), "mmt": ("m", "T")}
+@dataclass(frozen=True)
+class Builtin:
+    """build(*values, N) and its parameters in order, each to its default or None if required."""
+
+    build: Callable
+    params: dict
+
+    def values(self, given: dict, what: str) -> list:
+        """The value of each parameter, in order: the given one, else its default."""
+        for key, default in self.params.items():
+            if default is None and key not in given:
+                raise ValueError(f"{what} needs the parameter {key}")
+        return [given.get(key, default) for key, default in self.params.items()]
 
 
 def generate(spec: FamilySpec) -> GraphSurface:
-    """Dispatch a FamilySpec to its generator."""
-    n = spec.order
-    p = spec.params
-    if spec.name == "quadric":
-        return gen_quadric(n)
-    if spec.name == "cd":
-        return gen_cd(p.get("C", Fraction(0)), p.get("D", Fraction(0)), n)
-    if spec.name == "mm":
-        return gen_mm(p["m"], n)
-    if spec.name == "mmt":
-        return gen_mmt(p["m"], Fraction(p["T"]), n)
-    raise ValueError(f"unknown family {spec.name!r}")
+    """Build the surface of a FamilySpec from its entry in BUILTINS."""
+    family = BUILTINS["surface"].get(spec.name)
+    if family is None:
+        raise ValueError(f"unknown family {spec.name!r}")
+    return family.build(*family.values(spec.params, f"family {spec.name!r}"), spec.order)
 
 
 def _checked(surface: GraphSurface) -> GraphSurface:
@@ -159,3 +165,16 @@ def gen_X(m: int, T, N: int) -> tuple[HoloSeries2, HoloSeries2]:
     X_z = HoloSeries2(N, {(1, m): cz})
     X_w = HoloSeries2(N, {(0, m + 1): ONE})
     return X_z, X_w
+
+
+#: every built-in input by kind and name; each default is a spec literal
+BUILTINS = {
+    "surface": {
+        "quadric": Builtin(gen_quadric, {}),
+        "cd": Builtin(gen_cd, {"C": "0", "D": "0"}),
+        "mm": Builtin(gen_mm, {"m": None}),
+        "mmt": Builtin(gen_mmt, {"m": None, "T": None}),
+    },
+    "map": {"ht": Builtin(gen_Ht, {"m": 1, "t": "1"})},
+    "field": {"mmt": Builtin(gen_X, {"m": 1, "T": "1"})},
+}

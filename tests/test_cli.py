@@ -8,6 +8,7 @@ import pytest
 
 from nfc.scalar import GaussianRational, I, ONE
 from nfc.series import HoloSeries2
+from nfc.families import gen_Ht, gen_X
 from nfc.cli import (
     ParseError,
     build_surface,
@@ -78,6 +79,14 @@ class TestExpressionParser:
             parse_expression("1/0")
         with pytest.raises(ParseError, match="column 2: unexpected character '\\$'"):
             parse_expression("z$")
+
+
+def test_non_decimal_digit_is_an_unexpected_character(capsys):
+    # '²' is a digit to str.isdigit but not a decimal int() accepts
+    with pytest.raises(ParseError, match="column 10: unexpected character '²'"):
+        parse_expression("u*z*zb + ²")
+    assert main(["resonances", "--expr", "u*z*zb + ²", "--order-total", "9"]) == 2
+    assert capsys.readouterr().err == "nfc: parse error: column 10: unexpected character '²'\n"
 
 
 def test_nested_powers_expand_in_full():
@@ -221,6 +230,15 @@ class TestCommands:
         assert code == 2
         assert "parse error" in err
 
+    def test_two_surface_sources_exit_2(self, capsys, tmp_path):
+        sfile = tmp_path / "surface.json"
+        sfile.write_text(json.dumps({"order": 9, "expr": "u*z*zb"}))
+        for argv in (["--family", "mm", "--m", "1", "--expr", "u*z*zb"],
+                     ["--surface", str(sfile), "--family", "quadric"]):
+            code, out, err = run_cli(capsys, "resonances", *argv, "--order-total", "9")
+            assert (code, out) == (2, "")
+            assert err.startswith("nfc: parse error: more than one surface given")
+
     def test_missing_surface_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "resonances")
         assert code == 2
@@ -352,6 +370,17 @@ def test_zero_items_above_the_order_are_allowed():
     assert spec["series"] == {(1, 1, 1): ONE}
     m = parse_map_spec({"f": [{"l": 9, "k": 3}], "g": []}, 9)
     assert m.f.is_zero() and m.g.is_zero()
+
+
+def test_builtin_map_and_field_defaults():
+    assert parse_map_spec({"builtin": "ht"}, 9) == gen_Ht(1, 1, 9)
+    assert parse_map_spec({"builtin": "ht", "m": 2, "t": "1/2"}, 9) == gen_Ht(2, Fraction(1, 2), 9)
+    assert parse_field_spec({"builtin": "mmt"}, 9) == gen_X(1, 1, 9)
+    assert parse_field_spec({"builtin": "mmt", "T": "-3"}, 9) == gen_X(1, -3, 9)
+    with pytest.raises(ParseError, match="unknown builtin map 'hx'"):
+        parse_map_spec({"builtin": "hx"}, 9)
+    with pytest.raises(ParseError, match="unknown builtin field \\['mmt'\\]"):
+        parse_field_spec({"builtin": ["mmt"]}, 9)
 
 
 def test_repeated_item_takes_the_last_coefficient():

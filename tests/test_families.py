@@ -113,6 +113,13 @@ class TestMm:
             assert a == b and c == 1
             assert v.is_real()
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_mmt_at_T_zero(self, m):
+        # q_0 = arcsin, so M_m = M_{2m,0}; gen_mm expands arcsin directly and
+        # gen_mmt inverts sin(x) e^{Tx}, so each construction checks the other
+        for N in (9, 12):
+            assert gen_mm(m, N) == gen_mmt(2 * m, 0, N)
+
 
 class TestQTSolve:
     def test_low_coefficients(self):
@@ -264,6 +271,14 @@ class TestGenerate:
         assert generate(FamilySpec("mmt", {"m": 1, "T": Fraction(1)}, 9)) == gen_mmt(1, 1, 9)
         with pytest.raises(ValueError, match="unknown family"):
             generate(FamilySpec("sphere", {}, 8))
+
+    def test_defaults_and_missing_parameters(self):
+        assert generate(FamilySpec("cd", {}, 8)) == gen_cd(0, 0, 8)
+        assert generate(FamilySpec("cd", {"D": Fraction(-24)}, 8)) == gen_cd(0, -24, 8)
+        with pytest.raises(ValueError, match="family 'mm' needs the parameter m"):
+            generate(FamilySpec("mm", {}, 9))
+        with pytest.raises(ValueError, match="family 'mmt' needs the parameter T"):
+            generate(FamilySpec("mmt", {"m": 1}, 9))
 
     @pytest.mark.parametrize("m", [Fraction(3, 2), 2.9, Fraction(2), 2.0, True],
                              ids=["3/2", "2.9", "Fraction(2)", "2.0", "True"])

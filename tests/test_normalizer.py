@@ -752,6 +752,36 @@ def _messy_surface(n):
     })
 
 
+class TestOrderConsistency:
+    """The normal form is unique, so the one at order N is the truncation of
+    the one at order N + 1.
+
+    Through degree N the two runs meet the same conditions, so the stage
+    statuses and gauge labels agree, and so does the map's g.  The map's f
+    agrees through degree N - 2 only: no condition at order N fixes its
+    coefficients of degree N - 1 and N.
+    """
+
+    @staticmethod
+    def _low(s, n: int) -> dict:
+        return {key: v for key, v in s.terms.items() if sum(key) <= n}
+
+    @pytest.mark.parametrize("name", ["messy"] + [f"seed{seed}" for seed in range(4)])
+    def test_order_n_is_the_truncation_of_order_n_plus_1(self, name):
+        N, K = 11, 5
+        if name == "messy":
+            M = _messy_surface(N + 1)
+        else:
+            M = Maker(seed=int(name[4:])).class_surface(N + 1, nterms=12, prenormalized=False)
+        lo = normalize(GraphSurface(Series3(N, M.phi.terms)), K)
+        hi = normalize(M, K)
+        assert lo.normal_form.phi.terms == self._low(hi.normal_form.phi, N)
+        assert [(s.k, s.status, s.gauge) for s in lo.stages] == \
+            [(s.k, s.status, s.gauge) for s in hi.stages]
+        assert self._low(lo.map.g, N) == self._low(hi.map.g, N)
+        assert self._low(lo.map.f, N - 2) == self._low(hi.map.f, N - 2)
+
+
 class TestBitIdentity:
     """The exact output of ``normalize`` is pinned by digest.
 
