@@ -168,11 +168,24 @@ def _parse_factor(toks: _Tokens) -> Series3:
         e = tok[1]
         if e.denominator != 1 or e < 0:
             raise ParseError(f"column {tok[2] + 1}: exponent must be a non-negative integer")
-        out = Series3(toks.order, {(0, 0, 0): ONE})
-        for _ in range(int(e)):
-            out = out * base
-        base = out
+        base = _power(base, int(e))
     return base
+
+
+def _power(base: Series3, e: int) -> Series3:
+    """base^e by repeated squaring: at most 2 log2(e) products instead of e.
+
+    Products are exact and truncation commutes with them, so the result is
+    the one that e successive products give.
+    """
+    out = None
+    while e:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return Series3(base.n, {(0, 0, 0): ONE}) if out is None else out
 
 
 def _parse_atom(toks: _Tokens) -> Series3:

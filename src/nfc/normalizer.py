@@ -18,10 +18,17 @@ product of two unknowns lives at u-level > k.  The level-k block of the
 transform is therefore linear: it is the level-k slice of the linearized
 tangency equation 2 Re(X rho) = 0 for X = f d/dz + g d/dw.  A unit field's
 column is a z^l- or z-bar^l-shift of the u^k slices of w^(k-1) rho_z and
-w^k rho_w, which the helpers of ``surface.infinitesimal_defect`` give once
-per stage, so it is read off, not multiplied out.  The tests check columns
-against ``infinitesimal_defect`` and against transforms with unit maps, and
-the distinguished 9x9 block against the transcription in ``resonance``.
+w^k rho_w, so it is read off, not multiplied out.  Only the u-linear factor
+P of phi = u P + O(u^2) reaches those slices, and they have the closed forms
+-(1 + iP)^(k-1) P_z and (1 + iP)^(k-1) (1 + P^2)/(2i), built once per stage
+as integer forms.  The tests check these bases against the series
+arithmetic of ``surface.infinitesimal_defect``, the columns against
+``infinitesimal_defect`` and against transforms with unit maps, and the
+distinguished 9x9 block against the transcription in ``resonance``.
+
+The stage maps are composed once, after the last stage: outermost first,
+so that each step evaluates the accumulated map at a sparse stage map, and
+then with the prenormalization map.  Identity stage maps are skipped.
 """
 
 from __future__ import annotations
@@ -32,11 +39,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .scalar import GaussianRational, ONE, ZERO
-from .series import FormalMap, HoloSeries2, Series3, compose_maps
+from .series import _ONE_FORM, FormalMap, HoloSeries2, _accumulate, _form, _rows, compose_maps
 from .resonance import char_poly
-from .surface import (FLAT_ROWS, GraphSurface, _along_graph, _rho_gradient,
-                      check_u_linear_class, is_prenormalized_level1, jet7, scale_surface,
-                      transform)
+from .surface import (FLAT_ROWS, GraphSurface, check_u_linear_class, is_prenormalized_level1,
+                      jet7, scale_surface, transform)
 
 TAGGED_UNKNOWNS = (
     ("g", 1, "re"), ("g", 1, "im"),
@@ -98,30 +104,61 @@ def _labels(lf: int, lg: int) -> tuple:
 
 
 def _stage_bases(M: GraphSurface, k: int) -> tuple:
-    """(B_f, B_g), the u^k slices of w^(k-1) rho_z and w^k rho_w, as series in (z, zb).
+    """(B_f, B_g), the u^k slices of w^(k-1) rho_z and w^k rho_w, as integer forms.
 
-    Both come from the helpers of ``infinitesimal_defect``, along w = u + i psi.
-    Only the u-linear part psi of phi reaches u^k (phi has no u-free term), and
-    only its terms of degree <= N - k + 1 in (z, zb), as the slices stop at N - k.
+    Write phi = u P + O(u^2).  Along the graph w = u (1 + iP) + O(u^2),
+    rho_z = -u P_z + O(u^2) and rho_w = (1 - iP)/(2i) + O(u), so both slices
+    are u^k times series in (z, zb):
+    B_f = -(1 + iP)^(k-1) P_z and B_g = (1 + iP)^(k-1) (1 + P^2)/(2i).
+    They are needed to degree N - k, so P enters with its terms of degree
+    <= N - k + 1 (only P_z reaches the top one).  Each base is an integer
+    form (D, rows) with the key of z^p zb^q packed as p (N - k + 1) + q, and
+    D the lcm of its reduced coefficient denominators.
     """
-    n = M.n
-    psi = Series3(n, {key: v for key, v in M.phi.terms.items()
-                      if key[2] == 1 and key[0] + key[1] <= n - k + 1})
-    units = HoloSeries2(n, {(0, k - 1): ONE}), HoloSeries2(n, {(0, k): ONE})
-    slices = (h * rho for h, rho in zip(_along_graph(psi, *units), _rho_gradient(psi)))
-    return tuple(Series3(n - k, {(a, b, 0): v for (a, b, c), v in s.terms.items() if c == k})
-                 for s in slices)
+    top = M.n - k
+    B = top + 1
+    terms = [(a, b, v) for (a, b, c), v in M.phi.terms.items() if c == 1 and a + b <= B]
+    D = lcm(*(v.den for _, _, v in terms))
+    # 1 + iP and P over D, -P_z over D
+    one_ip, p, neg_pz = [(0, 0, D, 0)], [], []
+    for a, b, v in terms:
+        q = D // v.den
+        x, y = v.nre * q, v.nim * q
+        if a + b <= top:
+            one_ip.append((a + b, a * B + b, -y, x))
+            p.append((a + b, a * B + b, x, y))
+        if a:
+            neg_pz.append((a + b - 1, (a - 1) * B + b, -a * x, -a * y))
+    one_ip.sort()
+    neg_pz.sort()
+    p.sort()
+    # (1 + iP)^(k-1) over Dq
+    Dq, q_rows = _ONE_FORM
+    for _ in range(k - 1):
+        acc = {}
+        _accumulate(acc, q_rows, one_ip, top)
+        Dq, q_rows = _form(acc, Dq * D)
+    acc = {}
+    _accumulate(acc, q_rows, neg_pz, top)
+    b_f = _form(acc, Dq * D)
+    # 1 + P^2 over D^2, then times (1 + iP)^(k-1); (x + iy)/(2i) = (y - ix)/2
+    acc = {0: [D * D, 0, 0]}
+    _accumulate(acc, p, p, top)
+    one_p2 = sorted(_rows(acc))
+    acc = {}
+    _accumulate(acc, q_rows, one_p2, top)
+    acc = {key: [si, -sr, d] for key, (sr, si, d) in acc.items()}
+    return b_f, _form(acc, 2 * Dq * D * D)
 
 
 def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
     """Assemble the exact affine stage-k system for the current surface.
 
     The level-k change made by f = c z^l w^(k-1) or g = c z^l w^k is the u^k
-    slice of X rho + conj(X rho), X = f d/dz or g d/dw, read through the
-    helpers of ``infinitesimal_defect``: the z^l-shift of c B_f or c B_g
-    (``_stage_bases``) and its conjugate, a z-bar^l-shift.  So every column is
-    read off two base series per stage, visiting only the base terms that
-    land on a condition slot.  Every factor of a base has degree >= 0, so
+    slice of X rho + conj(X rho), X = f d/dz or g d/dw: the z^l-shift of
+    c B_f or c B_g (``_stage_bases``) and its conjugate, a z-bar^l-shift.
+    So every column is read off the integer rows of two bases per stage,
+    visiting only the base terms that land on a condition slot.  Every factor of a base has degree >= 0, so
     truncating it at degree N - k and then shifting keeps exactly the terms
     that truncating inside each product would.
     """
@@ -140,15 +177,17 @@ def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
         cols_at.setdefault((kind, l), [None, None])[part == "im"] = j
     # integer entries over one denominator, the lcm of both bases'
     bases = _stage_bases(M_current, k)
-    den = lcm(*(v.den for base in bases for v in base.terms.values()))
+    den = lcm(*(D for D, _ in bases))
     rows = [defaultdict(int) for _ in conditions]
     # a term lands on a slot (a, b) only if q <= b, or p <= b for its mirror
     reach = max(b for _, b, _ in conditions)
-    for kind, top, base in zip("fg", (lf, lg), bases):
-        for (p, q, _), v in base.terms.items():
+    for kind, top, (D, base) in zip("fg", (lf, lg), bases):
+        m = den // D
+        for _, key, x, y in base:
+            p, q = divmod(key, n - k + 1)
             if min(p, q) > reach:
                 continue
-            x, y = v.nre * (den // v.den), v.nim * (den // v.den)
+            x, y = x * m, y * m
             for l in range(top + 1):
                 re_col, im_col = cols_at[kind, l]
                 # c = 1 and c = i at (p + l, q); their conjugates at (q, p + l)
@@ -375,8 +414,8 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
     The targeted conditions are those that ``surface.condition_row``
     declares.  The output satisfies each of them at levels <= K except the
     distinguished ones dropped at resonant stages under gauge_zero.  Residue
-    at levels above K is left in place.  The cumulative map composes all
-    stage maps.  The level-k block of the transform is affine in the stage
+    at levels above K is left in place.  The cumulative map composes the
+    prenormalization and all stage maps, once, after the last stage.  The level-k block of the transform is affine in the stage
     unknowns, so after stage k every condition slot phi_{abk} equals
     -(left_re + i left_im), the leftovers ``solve_stage`` reports for it:
     zero unless its condition was dropped.  A stage that breaks this
@@ -397,11 +436,12 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
     if K > n - 6:
         raise ValueError(f"K={K} too large for truncation order N={n} (need K <= N-6)")
     check_u_linear_class(M, "normalize", prenormalized=False)
-    current, total = prenormalize_level1(M)
+    current, pre = prenormalize_level1(M)
     cp_report = char_poly(jet7(current))
     predicted = list(cp_report.resonances)
     observed = []
     stages = []
+    maps = []           # the non-identity stage maps, innermost first
     for k in range(2, K + 1):
         sys = stage_system(current, k)
         sol = solve_stage(sys, policy)
@@ -422,7 +462,16 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
                     f"stage k={k}: coefficient {(a, b, k)} = {v} is not the solve's leftover")
         residuals = [((a, b, k), v) for (a, b), v in expected.items()]
         stages.append(StageRecord(k=k, status=sol.status, residuals=residuals, gauge=sol.free))
-        total = compose_maps(m_k, total)
+        if not m_k.is_identity():
+            maps.append(m_k)
+    # m_K o ... o m_2, outermost first, so that each step evaluates the
+    # accumulated map at a sparse stage map; then after the prenormalization
+    total = pre
+    if maps:
+        outer = maps[-1]
+        for m_k in reversed(maps[:-1]):
+            outer = compose_maps(outer, m_k)
+        total = outer if pre.is_identity() else compose_maps(outer, pre)
     return NormalizationResult(
         normal_form=current,
         map=total,

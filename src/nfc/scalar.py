@@ -12,13 +12,13 @@ determinants that feed resonance detection.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 #: Exact rational scalar; always reduced, denominator positive.
 Rational = Fraction
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
 def _as_fraction(x) -> Fraction:

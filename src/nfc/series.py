@@ -35,15 +35,18 @@ and summed with the other groups over one common denominator, so each output
 coefficient is reduced once.  At a real point (Z, conj Z, U) with U
 Hermitian, a Hermitian series is composed from half of its groups and the
 Hermitian conjugate of their sum, and the powers of conj Z are the
-conjugates of the powers of Z.
+conjugates of the powers of Z.  A replacement may be given as a series or
+directly as its integer form, and whether the point is real is read off the
+forms.  So a caller that holds unreduced sums, such as the image point of
+``surface.transform``, never reduces them to a series first.
 
 Every series inversion is one ``_Point.solve``: the series s with
 s(point) = rhs, found degree by degree at the one point, so the tables are
 built once.  Its residual stays an unreduced integer table over one
-denominator, and only the coefficients it outputs are reduced.
-``transform`` solves for the image surface, ``invert_map`` for the
-increments of the inverse map, and the families' q_T is the reversion of a
-``Series1``.
+denominator, and only the coefficients it outputs are reduced; rhs may be
+an integer form too.  ``transform`` solves for the image surface,
+``invert_map`` for the increments of the inverse map, and the families' q_T
+is the reversion of a ``Series1``.
 """
 
 from __future__ import annotations
@@ -369,6 +372,22 @@ def _swap(key: int, B: int) -> int:
     return (b * B + a) * B + c
 
 
+def _conjugate_rows(rows, B: int) -> list:
+    """Sorted kernel rows of the Hermitian conjugate: (a, b, c) -> (b, a, c), im negated."""
+    return sorted((d, _swap(key, B), sr, -si) for d, key, sr, si in rows)
+
+
+def _form(acc: dict, D: int) -> tuple:
+    """The integer form (D', rows) of the unreduced sums of acc over D.
+
+    D and every numerator are divided by their gcd, which leaves D' the lcm
+    of the reduced coefficient denominators; the nonzero rows are sorted.  So
+    the form is the one ``_integer_form`` caches for the same series.
+    """
+    g = math.gcd(D, *(x for sr, si, _ in acc.values() for x in (sr, si)))
+    return D // g, sorted((d, key, sr // g, si // g) for d, key, sr, si in _rows(acc))
+
+
 #: The integer form of the constant 1, the zeroth power of every replacement.
 _ONE_FORM = (1, [(0, 0, 1, 0)])
 
@@ -376,27 +395,34 @@ _ONE_FORM = (1, [(0, 0, 1, 0)])
 class _Point:
     """Replacements (r1, ..., rm) at which sparse series are evaluated.
 
-    The point holds one power table per replacement: the integer forms of
-    r^0, r^1, ..., each built on first use from the one before and reduced
-    to the lcm of its denominators, which makes it the cached integer form
-    of the reduced power.  At a point (Z, conj Z, U) the powers of conj Z
-    are read off those of Z by swapping z and zb and conjugating.  Every
-    series composed or solved for at the same point reuses the tables.
+    Each replacement is given as a series or as its integer form (D, rows),
+    in the canonical layout of ``_integer_form`` (see ``_form``), so that a
+    caller holding unreduced sums never builds the series.  n and kind, the
+    truncation order and the series type of the results, default to those
+    of the first replacement.  The point holds one power table per
+    replacement: the integer forms of r^0, r^1, ..., each built on first use
+    from the one before and reduced to the lcm of its denominators, which
+    makes it the cached integer form of the reduced power.  At a point
+    (Z, conj Z, U) the powers of conj Z are read off those of Z by swapping
+    z and zb and conjugating.  Every series composed or solved for at the
+    same point reuses the tables.
     """
 
-    __slots__ = ("repls", "n", "kind", "tables", "conjugate_heads", "real")
+    __slots__ = ("n", "kind", "tables", "conjugate_heads", "real")
 
-    def __init__(self, repls: tuple):
-        self.repls = repls
-        self.n = repls[0].n
-        self.kind = type(repls[0])
-        self.tables = [[_ONE_FORM, r._integer_form()] for r in repls]
+    def __init__(self, repls: tuple, n: int | None = None, kind: type | None = None):
+        self.n = repls[0].n if n is None else n
+        self.kind = type(repls[0]) if kind is None else kind
+        forms = [r if isinstance(r, tuple) else r._integer_form() for r in repls]
+        self.tables = [[_ONE_FORM, form] for form in forms]
+        B = self.n + 1
         #: (Z, conj Z, ...): the powers of conj Z are the conjugates of Z's
-        self.conjugate_heads = (self.kind is Series3 and len(repls) == 3
-                                and _conjugates(repls[0], repls[1]))
+        self.conjugate_heads = (self.kind is Series3 and len(forms) == 3
+                                and forms[1] == (forms[0][0], _conjugate_rows(forms[0][1], B)))
         #: (Z, conj Z, U) with U Hermitian: a series that is Hermitian in
         #: (z, zb, u) then composes to a Hermitian series
-        self.real = self.conjugate_heads and is_hermitian(repls[2])
+        self.real = (self.conjugate_heads
+                     and forms[2] == (forms[2][0], _conjugate_rows(forms[2][1], B)))
 
     def power(self, i: int, e: int) -> tuple:
         """Integer form (D, rows) of the e-th power of replacement i."""
@@ -404,15 +430,12 @@ class _Point:
         while len(table) <= e:
             if i == 1 and self.conjugate_heads:
                 D, rows = self.power(0, len(table))
-                table.append((D, sorted((d, _swap(key, self.n + 1), sr, -si)
-                                        for d, key, sr, si in rows)))
+                table.append((D, _conjugate_rows(rows, self.n + 1)))
                 continue
             prev, base = table[-1], table[1]
             acc: dict = {}
             _accumulate(acc, prev[1], base[1], self.n)
-            D = prev[0] * base[0]
-            g = math.gcd(D, *(x for sr, si, _ in acc.values() for x in (sr, si)))
-            table.append((D // g, sorted((d, key, sr // g, si // g) for d, key, sr, si in _rows(acc))))
+            table.append(_form(acc, prev[0] * base[0]))
         return table[e]
 
     def compose(self, s: _SparseSeries) -> _SparseSeries:
@@ -443,7 +466,7 @@ class _Point:
         So only the groups with a <= b are computed, and the part with
         a < b is added to the result together with its Hermitian conjugate.
         """
-        n, last = self.n, len(self.repls) - 1
+        n, last = self.n, len(self.tables) - 1
         mirror = self.real and type(s) is Series3 and is_hermitian(s)
         groups: dict = {}
         for key, v in s.terms.items():
@@ -485,8 +508,11 @@ class _Point:
                     t[1] += im
         return D, out
 
-    def solve(self, rhs: _SparseSeries) -> _SparseSeries:
+    def solve(self, rhs) -> _SparseSeries:
         """The series s with s at this point equal to rhs, to order N.
+
+        rhs is a series or an integer form (D, rows) over any D, with
+        nonzero rows; the linear part of the point is read off its forms.
 
         The point has one replacement per variable of rhs, and its linear
         part is L = 1 + E with E^2 = 0, so L^-1 = 2 - L; any other point
@@ -505,11 +531,13 @@ class _Point:
         degree-d residual is reduced, because s_d is part of the output.
         """
         n, kind = self.n, self.kind
-        if len(self.repls) != len(kind.VARS):
+        if len(self.tables) != len(kind.VARS):
             raise ValueError(f"solve needs one replacement per variable of {kind.__name__}")
         xs = tuple(kind.var(x, n) for x in kind.VARS)
-        lin = [kind._make(n, {key: v for key, v in r.terms.items() if sum(key) == 1})
-               for r in self.repls]
+        raw = GaussianRational._raw
+        lin = [kind._make(n, kind._unpack([(key, raw(sr, si, D)) for e, key, sr, si in rows
+                                           if e == 1], n + 1))
+               for D, rows in (table[1] for table in self.tables)]
         # 2x - l, summed key by key in the constructor
         inv = tuple(kind(n, [(key, 2) for key in x.terms]
                          + [(key, -v) for key, v in l.terms.items()])
@@ -520,12 +548,12 @@ class _Point:
         if inv == xs:
             back = None
         # rhs - Y as unreduced sums over one denominator D, one table per degree
-        D, rows = rhs._integer_form()
+        D, rows = rhs if isinstance(rhs, tuple) else rhs._integer_form()
         rest = [{} for _ in range(n + 1)]
         for e, key, sr, si in rows:
             rest[e][key] = [sr, si, e]
         out: dict = {}
-        for d in range(rhs.min_degree(), n + 1):
+        for d in range(min((e for e, *_ in rows), default=n + 1), n + 1):
             piece = kind._make(n, kind._unpack(_reduced(rest[d], D), n + 1))
             if back is not None:
                 piece = back.compose(piece)

@@ -7,6 +7,12 @@ checks, ``check_normal_form`` and the stage labels of ``normalizer`` all
 read it.  phi_11 != 0 is normalized to phi_11 = 1 by a z-scaling when the
 value is a rational square.
 
+A transform maps the graph point (z, u + i phi) to an image point and
+solves for the image surface there.  The image point is built from the
+unreduced integer sums of the map composed along the graph, and handed to
+the solve as integer forms, so no coefficient is reduced between the map
+and the solve's output.
+
 All statements are certified to the truncation order N only.
 """
 
@@ -21,10 +27,13 @@ from .series import (
     FormalMap,
     HoloSeries2,
     Series3,
+    _conjugate_rows,
+    _form,
     _Point,
+    _reduced,
+    _swap,
     hermitian_conjugate,
     is_hermitian,
-    split_real_imag,
 )
 
 
@@ -267,10 +276,22 @@ def check_normal_form(M: GraphSurface) -> NormalFormReport:
     )
 
 
+def _graph_point(phi: Series3) -> _Point:
+    """The point (z, w) with w = u + i phi, the graph of phi.
+
+    w is read off phi's integer form: multiplying by i swaps the real and
+    imaginary numerators (re + i im -> -im + i re), and u joins as the only
+    row of degree 1, so the form stays canonical.
+    """
+    n = phi.n
+    D, rows = phi._integer_form()
+    w = (D, [(1, 1, D, 0)] + [(d, key, -si, sr) for d, key, sr, si in rows])
+    return _Point((Series3.var("z", n), w))
+
+
 def _along_graph(phi: Series3, *holo: HoloSeries2) -> list:
     """Holomorphic series in (z, w) along w = u + i phi, all composed at one point."""
-    n = phi.n
-    point = _Point((Series3.var("z", n), Series3.var("u", n) + phi * I))
+    point = _graph_point(phi)
     return [point.compose(h) for h in holo]
 
 
@@ -280,31 +301,67 @@ def _rho_gradient(phi: Series3) -> tuple:
     return -phi.diff("z"), Series3(phi.n, {(0, 0, 0): half / I}) - phi.diff("u") * half
 
 
+def _put(acc: dict, key: int, sr: int, si: int, d: int) -> None:
+    """Add sr + i si at key to the unreduced sums of acc."""
+    s = acc.get(key)
+    if s is None:
+        acc[key] = [sr, si, d]
+    else:
+        s[0] += sr
+        s[1] += si
+
+
 def _image_point(M: GraphSurface, m: FormalMap) -> tuple:
     """The image of M's graph point: (T, v1) with T = (z1, conj z1, u1).
 
     Along w = u + i phi the map sends (z, w) to (z1, u1 + i v1), so a surface
     phi' holds the image iff phi'(T) = v1.  T is a real point, at which the
     Hermitian phi' composes from half of its groups.
+
+    f and g are composed at the graph point as unreduced sums over Df and
+    Dg, and T and v1 are built from them as integer forms:
+    z1 = z + f, u1 = u + (g + conj g)/2 and v1 = phi + (g - conj g)/(2i),
+    where conj g is the Hermitian conjugate.  A term x + iy of g at (a, b, c)
+    gives x + iy at (a, b, c) and x - iy at (b, a, c) to g + conj g, and
+    y - ix and y + ix to (g - conj g)/i.  No coefficient is reduced here.
     """
     n = M.n
     if m.n != n:
         raise ValueError(f"mismatched truncation orders {m.n} != {n}")
-    f_here, g_here = _along_graph(M.phi, m.f, m.g)
-    re_part, im_part = split_real_imag(g_here)
-    z1 = Series3.var("z", n) + f_here
-    return _Point((z1, hermitian_conjugate(z1), Series3.var("u", n) + re_part)), M.phi + im_part
+    B = n + 1
+    point = _graph_point(M.phi)
+    Df, z1 = point._compose_acc(m.f)
+    Dg, g = point._compose_acc(m.g)
+    _put(z1, B * B, Df, 0, 1)
+    # u1 over 2 Dg, v1 over the lcm Dv of 2 Dg and phi's denominator
+    Dp, rows = M.phi._integer_form()
+    Dv = math.lcm(2 * Dg, Dp)
+    q = Dv // (2 * Dg)
+    re_part: dict = {}
+    im_part: dict = {}
+    for key, (sr, si, d) in g.items():
+        if sr or si:
+            for k, s in ((key, 1), (_swap(key, B), -1)):
+                _put(re_part, k, sr, s * si, d)
+                _put(im_part, k, q * si, -s * q * sr, d)
+    _put(re_part, 1, 2 * Dg, 0, 1)
+    q = Dv // Dp
+    for d, key, sr, si in rows:
+        _put(im_part, key, sr * q, si * q, d)
+    z1 = _form(z1, Df)
+    T = _Point((z1, (z1[0], _conjugate_rows(z1[1], B)), _form(re_part, 2 * Dg)), n, Series3)
+    return T, _form(im_part, Dv)
 
 
 def transform(M: GraphSurface, m: FormalMap) -> GraphSurface:
     """The image surface under (z, w) -> (z + f, w + g), to order N.
 
     The image phi' is the unique solution of phi'(T) = v1 (see
-    ``_image_point``), solved at the one point T by ``_Point.solve``.  With
-    g10 = 0 the linear part of T is z -> z + c u with c = f01, which
-    ``solve`` inverts.  A g10 term would give T and v1 a part linear in
-    z and zb, so such a map is rejected.  The identity map of order N
-    returns M itself.
+    ``_image_point``), solved at the one point T by ``_Point.solve``, which
+    takes T and v1 as integer forms.  With g10 = 0 the linear part of T is
+    z -> z + c u with c = f01, which ``solve`` inverts.  A g10 term would
+    give T and v1 a part linear in z and zb, so such a map is rejected.  The
+    identity map of order N returns M itself.
     """
     if m.n == M.n and m.is_identity():
         return M
@@ -318,12 +375,24 @@ def transform(M: GraphSurface, m: FormalMap) -> GraphSurface:
 def map_defect(M: GraphSurface, m: FormalMap, Mtarget: GraphSurface) -> Series3:
     """Residual of the graph equation: Im G - phi'(F, conj F, Re G) on M.
 
-    Zero iff m maps M into Mtarget to order N.
+    Zero iff m maps M into Mtarget to order N.  v1 and phi'(T) are
+    subtracted as unreduced sums over one denominator, and each coefficient
+    is reduced once.
     """
-    if Mtarget.n != M.n:
-        raise ValueError(f"mismatched truncation orders {Mtarget.n} != {M.n}")
-    T, v1 = _image_point(M, m)
-    return v1 - T.compose(Mtarget.phi)
+    n = M.n
+    if Mtarget.n != n:
+        raise ValueError(f"mismatched truncation orders {Mtarget.n} != {n}")
+    T, (Dv, rows) = _image_point(M, m)
+    Dc, acc = T._compose_acc(Mtarget.phi)
+    L = math.lcm(Dv, Dc)
+    q = L // Dc
+    for s in acc.values():
+        s[0] *= -q
+        s[1] *= -q
+    q = L // Dv
+    for d, key, sr, si in rows:
+        _put(acc, key, sr * q, si * q, d)
+    return Series3._make(n, Series3._unpack(_reduced(acc, L), n + 1))
 
 
 def infinitesimal_defect(M: GraphSurface, X_z: HoloSeries2, X_w: HoloSeries2) -> Series3:

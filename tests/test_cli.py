@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import nfc.series
 from nfc.scalar import GaussianRational, I, ONE
-from nfc.series import HoloSeries2
+from nfc.series import HoloSeries2, Series3
 from nfc.families import gen_Ht, gen_X
 from nfc.cli import (
     ParseError,
@@ -44,6 +45,29 @@ class TestExpressionParser:
 
     def test_power_and_cancellation(self):
         assert parse_expression("(z + zb)^2 - z^2 - 2*z*zb - zb^2") == {}
+
+    def test_power_by_repeated_squaring(self, monkeypatch):
+        # z^65536 takes 16 squarings, where e successive products took 65536
+        calls = []
+        kernel = nfc.series._mul_kernel
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(nfc.series, "_mul_kernel", counted)
+        assert parse_expression("z^65536") == {(65536, 0, 0): ONE}
+        assert len(calls) <= 34, len(calls)
+
+    @pytest.mark.parametrize("text, base, e", [("(1 + z)^13", "1 + z", 13),
+                                               ("(z + zb*u)^6", "z + zb*u", 6),
+                                               ("(1/2 - i*z*u)^0", "1/2 - i*z*u", 0)])
+    def test_power_matches_repeated_products(self, text, base, e):
+        b = Series3(6 * e + 3, parse_expression(base))
+        out = Series3(b.n, {(0, 0, 0): ONE})
+        for _ in range(e):
+            out = out * b
+        assert parse_expression(text) == out.terms
 
     def test_syntax_error_position(self):
         with pytest.raises(ParseError, match="column 6: unexpected token"):

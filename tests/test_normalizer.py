@@ -8,9 +8,9 @@ from math import gcd, lcm
 import pytest
 
 from nfc.scalar import GaussianRational, I, ONE, ZERO
-from nfc.series import FormalMap, HoloSeries2, Series3
-from nfc.surface import (GraphSurface, check_normal_form, infinitesimal_defect, jet7,
-                         map_defect, scale_surface, transform)
+from nfc.series import FormalMap, HoloSeries2, Series3, compose_maps
+from nfc.surface import (GraphSurface, _along_graph, _rho_gradient, check_normal_form,
+                         infinitesimal_defect, jet7, map_defect, scale_surface, transform)
 from nfc.resonance import KMatrix, char_poly, det
 import nfc.normalizer
 import nfc.series
@@ -399,6 +399,72 @@ class TestStageAssembly:
             assert accumulated[0] == accumulated[1], (k, accumulated)
 
 
+def stage_bases_reference(M: GraphSurface, k: int) -> tuple:
+    """The stage bases by series arithmetic along the graph: the u^k slices of
+    w^(k-1) rho_z and w^k rho_w, w = u + i psi, through the helpers of
+    ``infinitesimal_defect``, with psi the u-linear part of phi to
+    (z, zb)-degree N - k + 1.  Each is {(p, q): coefficient}."""
+    n = M.n
+    psi = Series3(n, {key: v for key, v in M.phi.terms.items()
+                      if key[2] == 1 and key[0] + key[1] <= n - k + 1})
+    units = HoloSeries2(n, {(0, k - 1): ONE}), HoloSeries2(n, {(0, k): ONE})
+    slices = (h * rho for h, rho in zip(_along_graph(psi, *units), _rho_gradient(psi)))
+    return tuple({(a, b): v for (a, b, c), v in s.terms.items() if c == k} for s in slices)
+
+
+def _dense_u_linear(n: int) -> GraphSurface:
+    """phi = u P with every P_ab, a, b >= 1, a + b <= N - 1, drawn at random."""
+    rng, terms = random.Random(n), {}
+    for a in range(1, n - 1):
+        for b in range(1, min(a, n - 1 - a) + 1):
+            re, im = (Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(2))
+            v = GaussianRational(re, 0 if a == b else im)
+            terms[(a, b, 1)], terms[(b, a, 1)] = v, v.conjugate()
+    return surf(n, terms)
+
+
+class TestStageBases:
+    """The closed-form bases B_f = -(1 + iP)^(k-1) P_z, B_g = (1 + iP)^(k-1) (1 + P^2)/(2i)."""
+
+    SURFACES = {
+        "maker": lambda n: Maker(seed=n).class_surface(n, nterms=10, prenormalized=False),
+        "dense": _dense_u_linear,
+        "messy": lambda n: _messy_surface(n),
+        "cd(3, -7)": lambda n: gen_cd(3, -7, n),
+        "mm(1)": lambda n: gen_mm(1, n),
+        "mmt(2, 1)": lambda n: gen_mmt(2, 1, n),
+    }
+
+    @pytest.mark.parametrize("name", list(SURFACES))
+    def test_equal_the_series_reference(self, name):
+        for n in range(8, 21):
+            M = self.SURFACES[name](n)
+            for k in range(2, n - 5):
+                forms = nfc.normalizer._stage_bases(M, k)
+                got = tuple({divmod(key, n - k + 1): GaussianRational._raw(x, y, D)
+                             for _, key, x, y in rows} for D, rows in forms)
+                assert got == stage_bases_reference(M, k), (name, n, k)
+                # D is the lcm of the reduced denominators, which stage_system's den needs
+                for (D, _), base in zip(forms, got):
+                    assert D == lcm(*(v.den for v in base.values())), (name, n, k)
+
+    def test_accumulations_per_stage(self, monkeypatch):
+        # k - 1 products for (1 + iP)^(k-1), then P_z, P^2 and 1 + P^2, at any order
+        calls = []
+        accumulate = nfc.normalizer._accumulate
+
+        def counted(*args):
+            calls.append(1)
+            return accumulate(*args)
+
+        monkeypatch.setattr(nfc.normalizer, "_accumulate", counted)
+        for n in (12, 18):
+            for k in (2, 4, 6):
+                calls.clear()
+                nfc.normalizer._stage_bases(_dense_u_linear(n), k)
+                assert len(calls) == k + 2, (n, k, len(calls))
+
+
 class TestSolveStage:
     def test_nonsingular_unique(self, make):
         M = make.class_surface(11, nterms=4)
@@ -572,6 +638,30 @@ class TestNormalize:
         normalize(M, 5)
         assert maps[1] and False in maps, maps     # maps[1] is stage 2's
         assert images == [False] * maps.count(False)
+
+    def test_map_is_the_fold_of_the_stage_maps(self, monkeypatch):
+        # normalize composes its non-identity stage maps once, outermost
+        # first; the reference folds every stage map into the total in turn
+        maps = []
+        real = nfc.normalizer.stage_map
+
+        def recorded(sol, n):
+            maps.append(real(sol, n))
+            return maps[-1]
+
+        monkeypatch.setattr(nfc.normalizer, "stage_map", recorded)
+        seen = []
+        for M in (_messy_surface(11), Maker(seed=5).class_surface(11, nterms=8, prenormalized=False)):
+            maps.clear()
+            res = normalize(M, 5)
+            total = prenormalize_level1(M)[1]
+            assert not total.is_identity()
+            for m_k in maps:
+                total = compose_maps(m_k, total)
+            assert res.map == total
+            seen.append([m_k.is_identity() for m_k in maps])
+        # the second surface has identity stage maps between non-identity ones
+        assert seen == [[False] * 4, [False, True, True, False]]
 
     def test_quadric_fixed_point(self):
         res = normalize(gen_quadric(12), 6)

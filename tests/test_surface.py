@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from nfc.scalar import GaussianRational, I, ONE, ZERO
-from nfc.series import FormalMap, HoloSeries2, Series3, is_hermitian, split_real_imag, substitute
+from nfc.series import (FormalMap, HoloSeries2, Series3, _Point, hermitian_conjugate,
+                        is_hermitian, split_real_imag, substitute)
 from nfc.surface import (
     GraphSurface,
+    _image_point,
     check_normal_form,
     check_u_linear_class,
     coefficient,
@@ -23,6 +25,7 @@ from nfc.families import gen_Ht, gen_X, gen_cd, gen_mm, gen_mmt, gen_quadric
 from nfc.normalizer import _labels, normalize
 import nfc.normalizer
 
+from conftest import Maker
 from test_normalizer import _messy_surface
 from test_series import invert_real_triple
 
@@ -266,6 +269,58 @@ def transform_reference(M: GraphSurface, m: FormalMap) -> GraphSurface:
     re_part, im_part = split_real_imag(substitute(m.g, z, w))
     z1 = z + substitute(m.f, z, w)
     return GraphSurface(invert_real_triple(z1, Series3.var("u", n) + re_part, M.phi + im_part)[2])
+
+
+def image_point_reference(M: GraphSurface, m: FormalMap) -> tuple:
+    """(T, v1) by series arithmetic: f and g along the graph as reduced
+    series, split into Hermitian parts, z1 = z + f, u1 = u + Re g and
+    v1 = phi + Im g, with T a point of series."""
+    n = M.n
+    z = Series3.var("z", n)
+    w = Series3.var("u", n) + M.phi * I
+    re_part, im_part = split_real_imag(substitute(m.g, z, w))
+    z1 = z + substitute(m.f, z, w)
+    return _Point((z1, hermitian_conjugate(z1), Series3.var("u", n) + re_part)), M.phi + im_part
+
+
+def _image_point_cases() -> dict:
+    make = Maker(seed=25)
+    n = 10
+    f, g = make.formal_map(n, 5).f, make.formal_map(n, 5).g
+    g = HoloSeries2(n, {**g.terms, (1, 1): GaussianRational(1, 2), (0, 2): GaussianRational(-1)})
+    return {
+        # f01 != 0: the linear part L of the image point is not 1
+        "w-linear f": (make.class_surface(n, 8, prenormalized=False),
+                       FormalMap(HoloSeries2(n, {**f.terms, (0, 1): GaussianRational(2, -1)}), g)),
+        "g only": (make.class_surface(n, 8), FormalMap(HoloSeries2(n), g)),
+        "pure z": (make.class_surface(n, 8, prenormalized=False),
+                   FormalMap(HoloSeries2(n, {key: v for key, v in f.terms.items() if key[1] == 0}
+                                         | {(2, 0): GaussianRational(Fraction(1, 3))}),
+                             HoloSeries2(n))),
+        "H_t": (gen_mm(1, 11), gen_Ht(1, Fraction(-2), 11)),
+    }
+
+
+class TestImagePointAgainstSeries:
+    """``_image_point`` builds T and v1 as integer forms from unreduced sums;
+    the series arithmetic it replaced is the reference."""
+
+    CASES = _image_point_cases()
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_transform_and_map_defect(self, name):
+        M, m = self.CASES[name]
+        T_ref, v1_ref = image_point_reference(M, m)
+        T, v1 = _image_point(M, m)
+        assert v1 == v1_ref._integer_form()
+        assert T.tables == T_ref.tables
+        assert T.real and T_ref.real
+        image = transform(M, m)
+        assert image == GraphSurface(T_ref.solve(v1_ref))
+        for target in (image, M):
+            assert map_defect(M, m, target) == v1_ref - T_ref.compose(target.phi)
+        assert map_defect(M, m, image).is_zero()
+        assert name == "H_t" or not map_defect(M, m, M).is_zero()
 
 
 class TestTransformAgainstReversion:
