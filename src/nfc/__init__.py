@@ -40,7 +40,7 @@ from .surface import (
     transform,
     validate_class,
 )
-from .resonance import KMatrix, ResonanceReport, char_poly, det, matrix_A, matrix_B
+from .resonance import ResonanceReport, char_poly, det, matrix_A, matrix_B
 from .normalizer import (
     GroupElement,
     NormalizationResult,

@@ -48,10 +48,8 @@ from .surface import (
 )
 from .resonance import char_poly
 from .normalizer import normalize
-from .families import (BUILTINS, FamilySpec, gen_cd, gen_Ht, gen_mm, gen_mmt,
+from .families import (BUILTINS, DEFAULT_ORDER, FamilySpec, gen_cd, gen_Ht, gen_mm, gen_mmt,
                        gen_quadric, gen_X, generate)
-
-DEFAULT_ORDER = 13
 
 
 class ParseError(ValueError):

@@ -18,6 +18,9 @@ from .scalar import GaussianRational, ONE
 from .series import FormalMap, HoloSeries2, Series1, Series3, _Point, substitute, uni_function
 from .surface import GraphSurface, validate_class
 
+#: the truncation order N of a family surface when none is given
+DEFAULT_ORDER = 13
+
 
 @dataclass
 class FamilySpec:
@@ -25,7 +28,7 @@ class FamilySpec:
 
     name: str                      # a key of BUILTINS["surface"]
     params: dict = field(default_factory=dict)
-    order: int = 13
+    order: int = DEFAULT_ORDER
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ def generate(spec: FamilySpec) -> GraphSurface:
 def _checked(surface: GraphSurface) -> GraphSurface:
     report = validate_class(surface)
     if not report.in_class or report.phi11 != ONE:
-        raise AssertionError("generator sanity violation: surface left the class")
+        raise ValueError("generator sanity violation: surface left the class")
     return surface
 
 

@@ -359,7 +359,7 @@ def prenormalize_level1(M: GraphSurface) -> tuple[GraphSurface, FormalMap]:
             total = compose_maps(FormalMap(HoloSeries2(n, {(l, 0): c}), HoloSeries2(n)), total)
     current = transform(M, total)
     if not is_prenormalized_level1(current):
-        raise AssertionError("prenormalization failed to clear level 1")
+        raise ValueError("prenormalization failed to clear level 1")
     return current, total
 
 
@@ -415,11 +415,12 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
     declares.  The output satisfies each of them at levels <= K except the
     distinguished ones dropped at resonant stages under gauge_zero.  Residue
     at levels above K is left in place.  The cumulative map composes the
-    prenormalization and all stage maps, once, after the last stage.  The level-k block of the transform is affine in the stage
-    unknowns, so after stage k every condition slot phi_{abk} equals
-    -(left_re + i left_im), the leftovers ``solve_stage`` reports for it:
-    zero unless its condition was dropped.  A stage that breaks this
-    identity raises ``AssertionError``.
+    prenormalization and all stage maps, once, after the last stage.  The
+    level-k block of the transform is affine in the stage unknowns, so
+    after stage k every condition slot phi_{abk} equals -(left_re + i
+    left_im), the leftovers ``solve_stage`` reports for it: zero unless its
+    condition was dropped.  A stage that breaks this identity raises
+    ``ValueError``.
 
     ``resonances_observed`` lists the stages whose whole system is singular.
     That is the same as a singular distinguished 9x9 block.  On
@@ -458,7 +459,7 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
         for a, b, _ in sys.conditions:
             v = current.phi.coeff(a, b, k)
             if v != expected.get((a, b), ZERO):
-                raise AssertionError(
+                raise ValueError(
                     f"stage k={k}: coefficient {(a, b, k)} = {v} is not the solve's leftover")
         residuals = [((a, b, k), v) for (a, b), v in expected.items()]
         stages.append(StageRecord(k=k, status=sol.status, residuals=residuals, gauge=sol.free))

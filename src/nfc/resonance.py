@@ -3,8 +3,11 @@
 ``matrix_A`` is the 9x9 coefficient matrix of the distinguished stage-k
 conditions against the distinguished map unknowns; ``matrix_B`` is the 4x4
 reduction whose determinant carries all jet dependence: det A = 1/4 (k-1)
-det B.  The monic multiple of det B is the characteristic polynomial, and
-its integer roots k >= 2 are the resonances.
+det B.  Both are plain tuples of rows of KPoly entries.  The monic multiple
+of det B is the characteristic polynomial, and its integer roots k >= 2 are
+the resonances.  ``det`` takes a square list of rows over any exact ring, so
+the same routine reads these matrices, a numeric stage block of Fraction
+entries, or one evaluated at a stage index.
 
 The entries follow the source derivation but repair a handful of typos in
 its displayed arrays; the transcription used here is the one that satisfies
@@ -22,51 +25,31 @@ from .scalar import GaussianRational, KPoly, ONE, _as_kpoly, integer_roots_ge2, 
 from .surface import Jet7
 
 
-class KMatrix:
-    """Square matrix of KPoly entries."""
-
-    __slots__ = ("dimension", "entries")
-
-    def __init__(self, entries):
-        rows = [list(r) for r in entries]
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("KMatrix must be square")
-        object.__setattr__(self, "dimension", n)
-        object.__setattr__(self, "entries", tuple(tuple(_as_kpoly(e) for e in r) for r in rows))
-
-    def __setattr__(self, *args):
-        raise AttributeError("KMatrix is immutable")
-
-    def entry(self, i: int, j: int) -> KPoly:
-        return self.entries[i][j]
-
-    def eval_at(self, k: int):
-        """Numeric matrix (GaussianRational) at a concrete stage index."""
-        kk = GaussianRational(k)
-        return [[e(kk) for e in row] for row in self.entries]
+def _jet_entries(j: Jet7) -> tuple:
+    """p = Re phi22, q = Re phi33, then Re and Im of phi32, phi42 and phi43."""
+    return tuple(GaussianRational(x) for x in (j.phi22.re, j.phi33.re, j.phi32.re, j.phi32.im,
+                                               j.phi42.re, j.phi42.im, j.phi43.re, j.phi43.im))
 
 
-def matrix_A(j: Jet7) -> KMatrix:
-    """The 9x9 stage matrix over KPoly.
+def _kpoly_rows(rows) -> tuple:
+    return tuple(tuple(_as_kpoly(e) for e in row) for row in rows)
+
+
+def matrix_A(j: Jet7) -> tuple:
+    """The 9x9 stage matrix, as 9 rows of KPoly entries.
 
     Rows: Re d10, Im d10, d11, Re d21, Im d21, d22, Re d32, Im d32, d33.
     Columns: Re g1, Im g1, Re f0, Im f0, Re g0, Re f1, Im f1, Re f2, Im f2.
     """
     k = KPoly.k()
     half = Fraction(1, 2)
-    p = GaussianRational(j.phi22.re)
-    q = GaussianRational(j.phi33.re)
-    Rr, Ir = GaussianRational(j.phi32.re), GaussianRational(j.phi32.im)
-    Rs, Is = GaussianRational(j.phi42.re), GaussianRational(j.phi42.im)
-    Rt, It = GaussianRational(j.phi43.re), GaussianRational(j.phi43.im)
+    p, q, Rr, Ir, Rs, Is, Rt, It = _jet_entries(j)
     km1 = k - 1
     # recurring polynomial pieces
     kk3_4 = k * (k - 3) * Fraction(1, 4)           # k(k-3)/4
     c2 = km1 * (k - 2) * half                      # (k-1)(k-2)/2
     g0_33 = km1 * q + k * km1 * (KPoly.constant(5) - k) * Fraction(1, 6)
-    return KMatrix([
+    return _kpoly_rows([
         [0, half, -1, 0, 0, 0, 0, 0, 0],
         [-half, 0, 0, 1, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, km1, -2, 0, 0, 0],
@@ -82,17 +65,13 @@ def matrix_A(j: Jet7) -> KMatrix:
     ])
 
 
-def matrix_B(j: Jet7) -> KMatrix:
-    """The 4x4 reduction of matrix_A: det A = 1/4 (k-1) det B."""
+def matrix_B(j: Jet7) -> tuple:
+    """The 4x4 reduction of matrix_A, as 4 rows of KPoly entries: det A = 1/4 (k-1) det B."""
     k = KPoly.k()
-    p = GaussianRational(j.phi22.re)
-    q = GaussianRational(j.phi33.re)
-    Rr, Ir = GaussianRational(j.phi32.re), GaussianRational(j.phi32.im)
-    Rs, Is = GaussianRational(j.phi42.re), GaussianRational(j.phi42.im)
-    Rt, It = GaussianRational(j.phi43.re), GaussianRational(j.phi43.im)
+    p, q, Rr, Ir, Rs, Is, Rt, It = _jet_entries(j)
     km1 = k - 1
     core = 2 * k * k - 4 * k + KPoly.constant(3) + 4 * p * p - 3 * q
-    return KMatrix([
+    return _kpoly_rows([
         [-6 * Rr, 6 * Ir, -2 * p, 2 * km1],
         [core - 4 * Rs, 2 * km1 * p + 4 * Is, -3 * Rr, Ir],
         [2 * km1 * p - 4 * Is, -(core + 4 * Rs), -3 * Ir, -Rr],
@@ -101,36 +80,43 @@ def matrix_B(j: Jet7) -> KMatrix:
     ])
 
 
-def det(Mx: KMatrix) -> KPoly:
-    """Exact determinant over the polynomial ring (memoized minor expansion)."""
-    n = Mx.dimension
-    if n == 0:
-        return KPoly.constant(1)
-    cache: dict = {}
-    full = (1 << n) - 1
+def det(rows):
+    """Exact determinant of a square list of rows over any exact ring.
 
-    def minor(row: int, colmask: int) -> KPoly:
-        if row == n:
-            return KPoly.constant(1)
+    The entries may be KPoly, GaussianRational, Fraction or int: the
+    expansion uses only +, -, * and truth (nonzero).  Minors are memoized by
+    their column set, and the last row's minors are its entries.  The empty
+    matrix gives 1.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("det needs a square matrix")
+    if n == 0:
+        return 1
+    zero = rows[0][0] - rows[0][0]
+    cache: dict = {}
+
+    def minor(row: int, colmask: int):
+        if row == n - 1:
+            return rows[row][colmask.bit_length() - 1]
         got = cache.get(colmask)
         if got is not None:
             return got
-        acc = KPoly()
+        acc = zero
         pos = 0
         for jcol in range(n):
             bit = 1 << jcol
             if not (colmask & bit):
                 continue
-            e = Mx.entries[row][jcol]
-            if not e.is_zero():
-                sub = minor(row + 1, colmask & ~bit)
-                term = e * sub
+            e = rows[row][jcol]
+            if e:
+                term = e * minor(row + 1, colmask & ~bit)
                 acc = acc + term if pos % 2 == 0 else acc - term
             pos += 1
         cache[colmask] = acc
         return acc
 
-    return minor(0, full)
+    return minor(0, (1 << n) - 1)
 
 
 @dataclass
@@ -146,7 +132,7 @@ class ResonanceReport:
 def char_poly(j: Jet7) -> ResonanceReport:
     """P = c det B with c chosen to make P monic; resonances = integer roots >= 2."""
     dB = det(matrix_B(j))
-    if dB.is_zero():
+    if not dB:
         raise ValueError("degenerate jet: characteristic polynomial vanishes identically")
     monic, lc = make_monic(dB)
     if monic.degree != 7:

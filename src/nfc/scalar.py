@@ -262,6 +262,9 @@ class KPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""

@@ -33,7 +33,7 @@ from nfc.surface import (
     map_defect,
     transform,
 )
-from nfc.resonance import KMatrix, char_poly, det, matrix_A, matrix_B
+from nfc.resonance import char_poly, det, matrix_A, matrix_B
 from nfc.normalizer import normalize, stage_system
 from nfc.families import gen_Ht, gen_X, gen_cd, gen_mm, gen_mmt, gen_quadric
 
@@ -77,7 +77,7 @@ def test_criterion_1_det_b_closed_form():
     quadric = gen_quadric(16)
     ok = proportional(target, ge_poly(0, 0))
     for k in range(2, 11):
-        probed = det(KMatrix(stage_system(quadric, k).tagged_block()))
+        probed = det(stage_system(quadric, k).tagged_block())
         if probed != KPoly.constant(Fraction(k - 1, 4) * target(k)):
             ok = False
     computed = None

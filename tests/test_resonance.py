@@ -2,10 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
+
 from nfc.scalar import GaussianRational, KPoly, ONE, ZERO, kpoly_eval, make_monic
-from nfc.resonance import KMatrix, char_poly, det, matrix_A, matrix_B
+from nfc.resonance import char_poly, det, matrix_A, matrix_B
 from nfc.surface import Jet7, jet7
 from nfc.families import gen_cd, gen_mm, gen_mmt, gen_quadric
+from nfc.normalizer import stage_system
 
 
 def kp(*coeffs):
@@ -57,43 +60,43 @@ class TestMatrixEntries:
     def test_first_row_universal(self, make):
         for _ in range(5):
             A = matrix_A(make.jet())
-            assert A.entry(0, 1) == kp(Fraction(1, 2))
-            assert A.entry(0, 2) == kp(-1)
-            assert A.entry(2, 4) == KM1
-            assert A.entry(2, 5) == kp(-2)
+            assert A[0][1] == kp(Fraction(1, 2))
+            assert A[0][2] == kp(-1)
+            assert A[2][4] == KM1
+            assert A[2][5] == kp(-2)
 
     def test_b_corner_universal(self, make):
         for _ in range(5):
             B = matrix_B(make.jet())
-            assert B.entry(0, 3) == 2 * KM1
+            assert B[0][3] == 2 * KM1
 
     def test_b_first_row(self):
         j = Jet7(GaussianRational(2), GaussianRational(3, 5), GaussianRational(7),
                  ZERO, ZERO)
         B = matrix_B(j)
-        assert B.entry(0, 0) == kp(-18)   # -6 Re phi32
-        assert B.entry(0, 1) == kp(30)    # +6 Im phi32
-        assert B.entry(0, 2) == kp(-4)    # -2 phi22
+        assert B[0][0] == kp(-18)   # -6 Re phi32
+        assert B[0][1] == kp(30)    # +6 Im phi32
+        assert B[0][2] == kp(-4)    # -2 phi22
 
 
 class TestDet:
     def test_identity(self):
-        m = KMatrix([[ONE if i == j else ZERO for j in range(4)] for i in range(4)])
+        m = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
         assert det(m) == kp(1)
 
     def test_diagonal(self):
-        m = KMatrix([
+        m = [
             [K, KPoly(), KPoly(), KPoly()],
             [KPoly(), KM1, KPoly(), KPoly()],
             [KPoly(), KPoly(), kp(1), KPoly()],
             [KPoly(), KPoly(), KPoly(), kp(1)],
-        ])
+        ]
         assert det(m) == K * KM1
 
     def test_antisymmetry(self):
         rows = [[kp(1), kp(2)], [kp(3), kp(4)]]
-        assert det(KMatrix(rows)) == kp(-2)
-        assert det(KMatrix([rows[1], rows[0]])) == kp(2)
+        assert det(rows) == kp(-2)
+        assert det([rows[1], rows[0]]) == kp(2)
 
     def test_against_numeric_evaluation(self, make):
         # polynomial det evaluated at a point equals det of the evaluated matrix
@@ -101,9 +104,30 @@ class TestDet:
         B = matrix_B(j)
         p = det(B)
         for k0 in (2, 3, 7):
-            numeric = KMatrix([[KPoly.constant(e(GaussianRational(k0))) for e in row]
-                               for row in B.entries])
+            numeric = [[KPoly.constant(e(GaussianRational(k0))) for e in row] for row in B]
             assert kpoly_eval(p, GaussianRational(k0)) == det(numeric).coeff(0)
+
+    def test_any_exact_ring(self):
+        # one stage block as Fraction, GaussianRational and constant KPoly
+        # rows, singular (M_1 at k = 2) and not
+        dets = []
+        for M, k in ((gen_mm(1, 11), 2), (gen_mm(1, 11), 4), (gen_cd(3, -7, 12), 3)):
+            block = stage_system(M, k).tagged_block()
+            d = det(block)
+            assert isinstance(d, Fraction)
+            assert det([[GaussianRational(x) for x in row] for row in block]) == d
+            assert det([[KPoly.constant(x) for x in row] for row in block]) == KPoly.constant(d)
+            dets.append(d)
+        assert dets[0] == 0 and dets[1] != 0 and dets[2] != 0
+        assert det([[2, 1], [7, 4]]) == 1 and det([[0, 1], [1, 0]]) == -1
+
+    def test_rejects_non_square(self):
+        for rows in ([[1, 2]], [[1, 2], [3]], [[K], [KM1]]):
+            with pytest.raises(ValueError, match="square"):
+                det(rows)
+
+    def test_empty_matrix_is_one(self):
+        assert det([]) == 1 and det(()) == KPoly.constant(1)
 
 
 class TestDetIdentity:
