@@ -10,7 +10,6 @@ infinitesimal-automorphism checks used to validate it.
 from .scalar import (
     GaussianRational,
     KPoly,
-    Rational,
     integer_roots_ge2,
     kpoly_eval,
     make_monic,
@@ -33,7 +32,6 @@ from .surface import (
     GraphSurface,
     Jet7,
     check_normal_form,
-    coefficient,
     infinitesimal_defect,
     jet7,
     map_defect,
@@ -42,10 +40,8 @@ from .surface import (
 )
 from .resonance import ResonanceReport, char_poly, det, matrix_A, matrix_B
 from .normalizer import (
-    GroupElement,
     NormalizationResult,
     StageSystem,
-    apply_group_action,
     normalize,
     prenormalize_level1,
     solve_stage,

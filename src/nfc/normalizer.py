@@ -38,11 +38,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalar import GaussianRational, ONE, ZERO
+from .scalar import GaussianRational, ZERO
 from .series import _ONE_FORM, FormalMap, HoloSeries2, _accumulate, _form, _rows, compose_maps
 from .resonance import char_poly
 from .surface import (FLAT_ROWS, GraphSurface, check_u_linear_class, is_prenormalized_level1,
-                      jet7, scale_surface, transform)
+                      jet7, transform)
 
 TAGGED_UNKNOWNS = (
     ("g", 1, "re"), ("g", 1, "im"),
@@ -227,7 +227,7 @@ def _check_policy(policy: str):
         raise ValueError(f"unknown policy {policy!r}")
 
 
-def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
+def solve_stage(sys: StageSystem) -> StageSolution:
     """Exact solve by fraction-free elimination on sparse primitive integer rows.
 
     Condition i reads sum_j (x_j / den) v_j = b with b = p / q in lowest
@@ -246,13 +246,11 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
     row on column c gives v_c = s / (L a), a = P[c], so V and L are scaled
     by a / gcd(a, s) and V_c = s / gcd(a, s).  The leftovers are recomputed
     from the original rows; only they and the values become ``Fraction``s.
-    Nonsingular systems give the unique solution.
-    Singular ones: under "strict" raise, naming the stage as resonant; under
-    "gauge_zero" the free variables (the non-pivot columns) are set to zero,
+    Nonsingular systems give the unique solution.  On singular ones, status
+    "resonant", the free variables (the non-pivot columns) are set to zero,
     inconsistent target equations are dropped and their leftover values
-    recorded.
+    recorded; ``normalize`` decides whether that is an error.
     """
-    _check_policy(policy)
     den = sys.den
     # pivot column -> (primitive row, target), in the order found; a pivot
     # row vanishes at the pivot columns found before it
@@ -291,8 +289,6 @@ def solve_stage(sys: StageSystem, policy: str = "gauge_zero") -> StageSolution:
             dropped.append(cond)
     free = [u for j, u in enumerate(sys.unknowns) if j not in pivots]
     singular = bool(free) or bool(dropped)
-    if singular and policy == "strict":
-        raise ValueError(f"stage k={sys.k} is resonant: singular normalization system")
     # values = V / L; free variables stay zero, and so does a pivot's own
     # column until its row is solved, so the sum may run over the whole row
     V, L = [0] * len(sys.unknowns), 1
@@ -348,7 +344,10 @@ def prenormalize_level1(M: GraphSurface) -> tuple[GraphSurface, FormalMap]:
     phi'_{l1} h^l conj(h) reach z^l zb, so phi'_{l1} = phi_{l1} - h_l.  Each
     step z -> z + c_l z^l therefore takes c_l = phi_{l1} - h_l from the
     input and the map composed so far, and the surface is transformed once,
-    by the whole map.
+    by the whole map.  Step l leaves f_l = phi_{l1} and later steps add only
+    degrees above l, so f = sum_{l=2}^{N-2} phi_{l11} z^l through degree
+    N - 2.  The compositions may leave terms of degree N - 1 and N as well;
+    they do not change the image to order N.
     """
     check_u_linear_class(M, "prenormalization", prenormalized=False)
     n = M.n
@@ -361,27 +360,6 @@ def prenormalize_level1(M: GraphSurface) -> tuple[GraphSurface, FormalMap]:
     if not is_prenormalized_level1(current):
         raise ValueError("prenormalization failed to clear level 1")
     return current, total
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """(alpha, s) in S^1 x R*: rotation of z with |alpha| = 1, real scaling of w."""
-
-    alpha: GaussianRational
-    s: Fraction
-
-    def __post_init__(self):
-        if self.alpha * self.alpha.conjugate() != ONE:
-            raise ValueError("rotation must satisfy |alpha|^2 = 1 exactly")
-        if self.s == 0:
-            raise ValueError("scaling must be a nonzero real rational")
-
-
-def apply_group_action(M_normal: GraphSurface, g: GroupElement) -> GraphSurface:
-    """Transform by (z, w) -> (alpha z, s w); preserves the normal form."""
-    if M_normal.phi.coeff(1, 1, 1) != ONE:
-        raise ValueError("group action applies to surfaces with phi11 = 1")
-    return scale_surface(M_normal, g.alpha, g.s)
 
 
 @dataclass
@@ -413,7 +391,8 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
 
     The targeted conditions are those that ``surface.condition_row``
     declares.  The output satisfies each of them at levels <= K except the
-    distinguished ones dropped at resonant stages under gauge_zero.  Residue
+    distinguished ones dropped at resonant stages under "gauge_zero";
+    "strict" raises at the first resonant stage instead.  Residue
     at levels above K is left in place.  The cumulative map composes the
     prenormalization and all stage maps, once, after the last stage.  The
     level-k block of the transform is affine in the stage unknowns, so
@@ -445,8 +424,10 @@ def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> Normalizat
     maps = []           # the non-identity stage maps, innermost first
     for k in range(2, K + 1):
         sys = stage_system(current, k)
-        sol = solve_stage(sys, policy)
+        sol = solve_stage(sys)
         if sol.status == "resonant":
+            if policy == "strict":
+                raise ValueError(f"stage k={k} is resonant: singular normalization system")
             observed.append(k)
         m_k = stage_map(sol, n)
         current = transform(current, m_k)

@@ -15,9 +15,6 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-#: Exact rational scalar; always reduced, denominator positive.
-Rational = Fraction
-
 RationalLike = int | Fraction
 
 

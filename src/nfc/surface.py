@@ -141,7 +141,7 @@ def validate_class(M: GraphSurface) -> ClassReport:
     """Check the structural class conditions to order N; never raises.
 
     When phi11 is the square of a nonzero rational r, the report carries the
-    rescaled surface with phi11 = 1 (z -> z/r).
+    rescaled surface with phi11 = 1, the image under (z, w) -> (r z, w).
     """
     phi = M.phi
     tags = {"u-free": "infinite_type", "row 0": "normal_coordinates"}
@@ -164,13 +164,7 @@ def validate_class(M: GraphSurface) -> ClassReport:
             in_class = False
             diagnostics.append(("phi11_not_rational_square", (1, 1, 1)))
         elif in_class:
-            if root == 1:
-                rescaled = M
-            else:
-                inv = GaussianRational(1 / root)
-                scaled = {(a, b, c): v * (inv ** (a + b))
-                          for (a, b, c), v in phi.terms.items()}
-                rescaled = GraphSurface(Series3(phi.n, scaled))
+            rescaled = M if root == 1 else scale_surface(M, root, 1)
     return ClassReport(
         is_infinite_type=inf_type,
         is_normal_coordinates=normal,
@@ -179,15 +173,6 @@ def validate_class(M: GraphSurface) -> ClassReport:
         diagnostics=diagnostics,
         rescaled=rescaled,
     )
-
-
-def coefficient(M: GraphSurface, a: int, b: int, c: int) -> GaussianRational:
-    """phi_{abc}; c = 1 carries the u-linear entries phi_{ab}."""
-    if min(a, b, c) < 0:
-        raise ValueError(f"negative exponent in ({a}, {b}, {c})")
-    if a + b + c > M.n:
-        raise ValueError("beyond truncation order")
-    return M.phi.coeff(a, b, c)
 
 
 def _level1_offenders(phi: Series3) -> list:
@@ -409,18 +394,22 @@ def infinitesimal_defect(M: GraphSurface, X_z: HoloSeries2, X_w: HoloSeries2) ->
     return holo + hermitian_conjugate(holo)
 
 
-def scale_surface(M: GraphSurface, alpha: GaussianRational, s: Fraction) -> GraphSurface:
-    """Image under the linear map (z, w) -> (alpha z, s w), |alpha| = 1, s real.
+def scale_surface(M: GraphSurface, lam: GaussianRational, s: Fraction) -> GraphSurface:
+    """Image under the linear map (z, w) -> (lam z, s w), lam in Q(i)*, s in Q*.
 
-    Exact coefficient action: phi'_{abc} = s^(1-c) alpha^(b-a) phi_{abc}.
+    Exact coefficient action: phi'_{abc} = s^(1-c) lam^(-a) conj(lam)^(-b)
+    phi_{abc}, so phi'_111 = phi_111 / |lam|^2.  For |lam| = 1 this is
+    s^(1-c) lam^(b-a) phi_{abc}, the action of (lam, s) in S^1 x R*, which
+    maps a normal form to a normal form.
     """
-    alpha = as_gaussian(alpha)
-    if alpha * alpha.conjugate() != ONE:
-        raise ValueError("rotation must satisfy |alpha|^2 = 1 exactly")
+    lam = as_gaussian(lam)
+    if lam.is_zero():
+        raise ValueError("z-scaling must be a nonzero Gaussian rational")
     s = Fraction(s)
     if s == 0:
-        raise ValueError("scaling must be a nonzero real rational")
+        raise ValueError("w-scaling must be a nonzero real rational")
+    inv, inv_bar = ONE / lam, ONE / lam.conjugate()
     out = {}
     for (a, b, c), v in M.phi.terms.items():
-        out[(a, b, c)] = v * alpha ** (b - a) * GaussianRational(s ** (1 - c))
+        out[(a, b, c)] = v * inv ** a * inv_bar ** b * GaussianRational(s ** (1 - c))
     return GraphSurface(Series3(M.n, out))

@@ -12,7 +12,6 @@ from nfc.surface import (
     _image_point,
     check_normal_form,
     check_u_linear_class,
-    coefficient,
     condition_row,
     infinitesimal_defect,
     jet7,
@@ -91,26 +90,21 @@ class TestValidateClass:
         assert ("phi11_negative", (1, 1, 1)) in rep.diagnostics
 
 
-class TestCoefficient:
-    def test_quadric_entries(self):
-        q = gen_quadric(6)
-        assert coefficient(q, 1, 1, 1) == ONE
-        assert coefficient(q, 2, 2, 1) == ZERO
-
-    def test_mmt_quartic_entry(self):
-        mt = gen_mmt(1, 1, 8)
-        assert coefficient(mt, 2, 2, 1) == GaussianRational(-1)
-
-    def test_beyond_truncation_rejected(self):
-        q = gen_quadric(6)
-        with pytest.raises(ValueError, match="beyond truncation order"):
-            coefficient(q, 4, 3, 1)
-
-    def test_negative_exponent_rejected(self):
-        q = gen_quadric(6)
-        for key in ((-1, 2, 1), (2, -1, 1), (1, 1, -1)):
-            with pytest.raises(ValueError, match="negative exponent"):
-                coefficient(q, *key)
+class TestScaleSurface:
+    def test_any_nonzero_lambda_and_s(self, make):
+        # (z, w) -> (lam z, s w) gives phi'_abc = s^(1-c) lam^(-a) conj(lam)^(-b) phi_abc
+        M = make.class_surface(9, nterms=6)
+        lam, s = GaussianRational(1, 2), Fraction(-3)
+        out = scale_surface(M, lam, s)
+        assert out.phi.terms.keys() == M.phi.terms.keys()
+        for (a, b, c), v in M.phi.terms.items():
+            expected = v * GaussianRational(s ** (1 - c)) / (lam ** a * lam.conjugate() ** b)
+            assert out.phi.coeff(a, b, c) == expected, (a, b, c)
+        assert out.phi.coeff(1, 1, 1) == M.phi.coeff(1, 1, 1) / 5
+        with pytest.raises(ValueError, match="z-scaling must be a nonzero"):
+            scale_surface(M, ZERO, s)
+        with pytest.raises(ValueError, match="w-scaling must be a nonzero"):
+            scale_surface(M, lam, Fraction(0))
 
 
 class TestJet7:
