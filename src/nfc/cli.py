@@ -3,10 +3,16 @@
 A surface comes from exactly one of a JSON spec file, inline flags for a
 built-in family (families.BUILTINS declares the built-ins and their
 defaults), or a small polynomial expression language in z, zb, u; reports
-are deterministic JSON
-(or plain text) with every number serialized exactly.  Exit status: 0 on
-success, 1 on domain errors (class violations, resonant stage under
---policy strict), 2 on usage or parse errors.
+are deterministic JSON (or plain text) with every number serialized
+exactly.  Exit status: 0 on success, 1 on domain errors (class violations,
+resonant stage under --policy strict), 2 on usage or parse errors.
+
+An expression's tokens are read left to right, skipping whitespace: a
+decimal number with an optional "/ denominator" (whitespace allowed around
+the '/'), a run of letters and digits that must be i, z, zb or u, or one of
++ - * ^ ( ).  A digit is one that int() reads, from any script; a run that
+starts with another digit, such as '²', and any other character are errors
+that name their column.  A unary sign applies after the power: -z^2 is -(z^2).
 
 A spec lists a series as items: {a, b, c, re, im} for the surface, {l, k,
 re, im} for the map components f, g and the field components Xz, Xw; re and
@@ -14,7 +20,11 @@ im are rational literals and default to 0; an exponent key listed twice in
 one series takes the coefficient of its last item.  Every nonzero monomial,
 listed or expanded from an expression, must have total degree at most the
 truncation order N; a monomial above N is a parse error (exit 2) that names
-it, never a silent drop.
+it, never a silent drop.  A key that nothing reads is a parse error that
+names it, never replaced by a default: a surface spec reads order, family,
+series, expr; a family object reads name and the parameters of every
+built-in family; a built-in map or field reads builtin and that built-in's
+parameters; an item-form map reads f, g and an item-form field Xz, Xw.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -35,6 +46,7 @@ from .scalar import (
     I,
     gaussian_to_obj,
     parse_rational,
+    power,
     rational_str,
 )
 from .series import FormalMap, HoloSeries2, Series3
@@ -61,11 +73,36 @@ class ParseError(ValueError):
 # the imaginary unit i, operators + - * ^ and parentheses.
 
 
+#: one token of the grammar in the module docstring: a number (its denominator
+#: in group 2), a run of letters and digits, or another non-space character;
+#: finditer skips the whitespace between matches
+_TOKEN = re.compile(r"(\d+)(?:\s*/\s*(\d*))?|([^\W_]+)|(\S)")
+
+
+def _token(m: re.Match) -> tuple:
+    """The (kind, value, start) of one match of _TOKEN; a bad token raises."""
+    num, den, name, other = m.groups()
+    start = m.start()
+    if num is not None:
+        if den == "":
+            raise ParseError(f"column {m.start(2) + 1}: expected denominator digits")
+        if den is not None and int(den) == 0:
+            raise ParseError(f"column {m.start(2) + 1}: zero denominator")
+        return ("num", Fraction(int(num), int(den or 1)), start)
+    if name is not None and name[0].isalpha():
+        if name != "i" and name not in Series3.VARS:
+            raise ParseError(f"column {start + 1}: unknown symbol {name!r}")
+        return ("imag", None, start) if name == "i" else ("var", name, start)
+    # a run that starts with a digit int() does not read, such as '²'
+    other = other or name[0]
+    if other not in "+-*^()":
+        raise ParseError(f"column {start + 1}: unexpected character {other!r}")
+    return (other, None, start)
+
+
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
-        self.toks = []
-        self._lex()
+        self.toks = [*map(_token, _TOKEN.finditer(text)), ("end", None, len(text))]
         self.idx = 0
         # The parse is exact at this order: a variable token adds to the
         # degree of a monomial at most the product of the exponents applied
@@ -73,56 +110,6 @@ class _Tokens:
         self.order = sum(tok[0] == "var" for tok in self.toks) * math.prod(
             int(tok[1]) for prev, tok in zip(self.toks, self.toks[1:])
             if prev[0] == "^" and tok[0] == "num" and tok[1].denominator == 1 and tok[1] > 1)
-
-    def _lex(self):
-        text, i, n = self.text, 0, len(self.text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            start = i
-            if ch.isdecimal():
-                while i < n and text[i].isdecimal():
-                    i += 1
-                num = int(text[start:i])
-                j = i
-                while j < n and text[j].isspace():
-                    j += 1
-                if j < n and text[j] == "/":
-                    j += 1
-                    while j < n and text[j].isspace():
-                        j += 1
-                    dstart = j
-                    while j < n and text[j].isdecimal():
-                        j += 1
-                    if dstart == j:
-                        raise ParseError(f"column {j + 1}: expected denominator digits")
-                    den = int(text[dstart:j])
-                    if den == 0:
-                        raise ParseError(f"column {dstart + 1}: zero denominator")
-                    self.toks.append(("num", Fraction(num, den), start))
-                    i = j
-                else:
-                    self.toks.append(("num", Fraction(num), start))
-                continue
-            if ch.isalpha():
-                while i < n and text[i].isalnum():
-                    i += 1
-                name = text[start:i]
-                if name == "i":
-                    self.toks.append(("imag", None, start))
-                elif name in Series3.VARS:
-                    self.toks.append(("var", name, start))
-                else:
-                    raise ParseError(f"column {start + 1}: unknown symbol {name!r}")
-                continue
-            if ch in "+-*^()":
-                self.toks.append((ch, None, start))
-                i += 1
-                continue
-            raise ParseError(f"column {start + 1}: unexpected character {ch!r}")
-        self.toks.append(("end", None, n))
 
     def peek(self):
         return self.toks[self.idx]
@@ -166,24 +153,8 @@ def _parse_factor(toks: _Tokens) -> Series3:
         e = tok[1]
         if e.denominator != 1 or e < 0:
             raise ParseError(f"column {tok[2] + 1}: exponent must be a non-negative integer")
-        base = _power(base, int(e))
+        base = power(base, int(e), Series3(base.n, {(0, 0, 0): ONE}))
     return base
-
-
-def _power(base: Series3, e: int) -> Series3:
-    """base^e by repeated squaring: at most 2 log2(e) products instead of e.
-
-    Products are exact and truncation commutes with them, so the result is
-    the one that e successive products give.
-    """
-    out = None
-    while e:
-        if e & 1:
-            out = base if out is None else out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return Series3(base.n, {(0, 0, 0): ONE}) if out is None else out
 
 
 def _parse_atom(toks: _Tokens) -> Series3:
@@ -256,6 +227,18 @@ def _coefficient(item: dict) -> GaussianRational:
 #: the exponent keys of a spec item, one per variable of the series type
 _ITEM_KEYS = {Series3: "abc", HoloSeries2: "lk"}
 
+#: the parameters of every built-in family, which a family spec may carry
+#: whether or not its family reads them (--family passes each flag that is set)
+_FAMILY_PARAMS = tuple(dict.fromkeys(
+    key for fam in BUILTINS["surface"].values() for key in fam.params))
+
+
+def _check_keys(obj: dict, known, what: str):
+    """Reject, naming it, a key of obj that is not in known."""
+    for key in obj:
+        if key not in known:
+            raise ParseError(f"unknown key {key!r} in {what}")
+
 
 def _monomial(key: tuple, names: tuple) -> str:
     return "*".join(f"{v}^{e}" for v, e in zip(names, key))
@@ -280,9 +263,11 @@ def _read_items(items, cls, order: int, what: str) -> dict:
     terms = {}
     for item in items:
         try:
-            terms[tuple(_count(item[e], e) for e in _ITEM_KEYS[cls])] = _coefficient(item)
+            key = tuple(_count(item[e], e) for e in _ITEM_KEYS[cls])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad {what} item {item!r}") from exc
+        _check_keys(item, (*_ITEM_KEYS[cls], "re", "im"), f"{what} item")
+        terms[key] = _coefficient(item)
     terms = {key: val for key, val in terms.items() if not val.is_zero()}
     for key in terms:
         _check_degree(key, order, cls.VARS)
@@ -311,6 +296,7 @@ def parse_surface_spec(obj, default_order: int = DEFAULT_ORDER) -> dict:
     """Normalize a raw spec object to {order, family|series}; an expr becomes its series."""
     if not isinstance(obj, dict):
         raise ParseError("surface spec must be a JSON object")
+    _check_keys(obj, ("order", "family", "series", "expr"), "surface spec")
     order = _count(obj.get("order", default_order), "order")
     kinds = [k for k in ("family", "series", "expr") if k in obj]
     if len(kinds) != 1:
@@ -320,6 +306,7 @@ def parse_surface_spec(obj, default_order: int = DEFAULT_ORDER) -> dict:
         fam = obj["family"]
         if not isinstance(fam, dict) or "name" not in fam:
             raise ParseError("family spec needs a name")
+        _check_keys(fam, ("name", *_FAMILY_PARAMS), "family spec")
         name, family = fam["name"], _builtin("surface", fam["name"], "family")
         params = {key: _param(key, val) for key, val in fam.items() if key != "name"}
         try:
@@ -352,8 +339,10 @@ def _holo_spec(obj, order: int, kind: str, sides: tuple, assemble):
         raise ParseError(f"{kind} spec must be a JSON object")
     if "builtin" in obj:
         builtin = _builtin(kind, obj["builtin"], f"builtin {kind}")
+        _check_keys(obj, ("builtin", *builtin.params), f"builtin {kind} spec")
         return builtin.build(*(_param(key, obj.get(key, default))
                                for key, default in builtin.params.items()), order)
+    _check_keys(obj, sides, f"{kind} spec")
     return assemble(*(HoloSeries2(order, _read_items(obj.get(side, []), HoloSeries2, order, side))
                       for side in sides))
 
@@ -454,9 +443,8 @@ def _resolve_surface(args) -> tuple[dict, GraphSurface]:
         raw = _load_json(args.surface)
     elif args.family:
         # every family flag that is set, whether or not the family reads it
-        keys = dict.fromkeys(key for fam in BUILTINS["surface"].values() for key in fam.params)
         raw = {"family": {"name": args.family, **{
-            key: getattr(args, key) for key in keys if getattr(args, key) is not None}}}
+            key: getattr(args, key) for key in _FAMILY_PARAMS if getattr(args, key) is not None}}}
     else:
         raw = {"expr": args.expr}
     spec = parse_surface_spec(raw, default_order=args.order_total)

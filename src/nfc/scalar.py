@@ -146,16 +146,7 @@ class GaussianRational:
     def __pow__(self, e: int) -> "GaussianRational":
         if not isinstance(e, int):
             raise TypeError("exponent must be an integer")
-        if e < 0:
-            return (ONE / self) ** (-e)
-        out = ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(ONE / self, -e, ONE) if e < 0 else power(self, e, ONE)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -194,6 +185,21 @@ _set_den = GaussianRational.den.__set__
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
+
+
+def power(x, e: int, one):
+    """x^e for an integer e >= 0 and one the unit of x's ring, by repeated squaring.
+
+    At most 2 log2(e) exact products, whose result is the one e products give.
+    """
+    out = None
+    while e:
+        if e & 1:
+            out = x if out is None else out * x
+        e >>= 1
+        if e:
+            x = x * x
+    return one if out is None else out
 
 
 def as_gaussian(x) -> GaussianRational:

@@ -104,6 +104,26 @@ class TestExpressionParser:
         with pytest.raises(ParseError, match="column 2: unexpected character '\\$'"):
             parse_expression("z$")
 
+    @pytest.mark.parametrize("text, message", [
+        ("z_1", "column 2: unexpected character '_'"),
+        ("zé*u", "column 1: unknown symbol 'zé'"),
+        ("z²", "column 1: unknown symbol 'z²'"),
+        ("½*u", "column 1: unexpected character '½'"),
+        ("z2", "column 1: unknown symbol 'z2'"),
+        ("2z", "column 2: expected 'end', found 'var'"),
+        ("3/ x", "column 4: expected denominator digits"),
+    ])
+    def test_token_grammar_edge_errors(self, text, message):
+        # a run of letters and digits is one token, and '_' is not in it
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == message
+
+    def test_token_grammar_edge_values(self):
+        # any whitespace around '/', and a decimal digit of any script, read as int() reads it
+        assert parse_expression("3 \t/\n 4*u") == {(0, 0, 1): GaussianRational(Fraction(3, 4))}
+        assert parse_expression("٣*u*z*zb") == {(1, 1, 1): GaussianRational(3)}
+
 
 def test_non_decimal_digit_is_an_unexpected_character(capsys):
     # '²' is a digit to str.isdigit but not a decimal int() accepts
@@ -146,6 +166,41 @@ class TestSurfaceSpec:
         assert parse_surface_spec(obj) == spec
         M = build_surface(spec)
         assert M.phi.coeff(2, 2, 1) == GaussianRational(Fraction(-1))
+
+    def test_input_guards(self):
+        with pytest.raises(ParseError, match="^surface spec must be a JSON object$"):
+            parse_surface_spec([])
+        with pytest.raises(ParseError, match="^bad series item"):
+            parse_surface_spec({"series": [{"a": 1}]})
+        with pytest.raises(ParseError, match="^family spec needs a name$"):
+            parse_surface_spec({"family": {}})
+        with pytest.raises(ParseError, match="^map spec must be a JSON object$"):
+            parse_map_spec([], 9)
+
+    @pytest.mark.parametrize("parse, obj, message", [
+        (parse_surface_spec, {"ordre": 9, "expr": "u*z*zb"}, "unknown key 'ordre' in surface spec"),
+        (parse_surface_spec, {"order": 9, "family": {"name": "cd", "c": "3"}},
+         "unknown key 'c' in family spec"),
+        (parse_surface_spec, {"order": 9, "series": [{"a": 1, "b": 1, "c": 1, "Re": "5"}]},
+         "unknown key 'Re' in series item"),
+        (parse_map_spec, {"builtin": "ht", "T": "1/2"}, "unknown key 'T' in builtin map spec"),
+        (parse_map_spec, {"F": [{"l": 2, "k": 0, "re": "1"}]}, "unknown key 'F' in map spec"),
+        (parse_map_spec, {"g": [{"l": 0, "k": 2, "b": 1}]}, "unknown key 'b' in g item"),
+        (parse_field_spec, {"builtin": "mmt", "t": "2"}, "unknown key 't' in builtin field spec"),
+        (parse_field_spec, {"Xz": [], "XW": []}, "unknown key 'XW' in field spec"),
+    ], ids=["surface", "family", "series item", "builtin map", "map", "map item", "builtin field",
+            "field"])
+    def test_unread_key_is_named(self, parse, obj, message):
+        # each key used to be ignored, and a default stood in for what it meant
+        with pytest.raises(ParseError) as exc:
+            parse(obj, 9)
+        assert str(exc.value) == message
+
+    def test_family_spec_takes_every_family_parameter(self):
+        # --family passes each family flag that is set, read or not
+        spec = parse_surface_spec({"order": 9, "family": {"name": "quadric", "m": 1, "T": "0"}})
+        plain = parse_surface_spec({"order": 9, "family": {"name": "quadric"}})
+        assert build_surface(spec) == build_surface(plain)
 
     def test_exactly_one_source(self):
         with pytest.raises(ParseError, match="exactly one"):
@@ -268,6 +323,11 @@ class TestCommands:
         assert code == 2
         assert "no surface" in err
 
+    def test_missing_map_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "--family", "quadric")
+        assert (code, out) == (2, "")
+        assert err == "nfc: parse error: no map given: use --map FILE or --map ht\n"
+
     def test_unreadable_spec_file_exit_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "charpoly", "--surface", str(tmp_path / "absent.json"))
         assert (code, out) == (2, "")
@@ -306,8 +366,9 @@ class TestCommands:
 
 #: (argv, spec files) that are malformed: a bad literal, a negative exponent
 #: or order, an unknown family or a missing family parameter, a nonzero item
-#: above the order, items not given as a list, or an expr that is not a
-#: string; "{name}" in argv is the path of the spec file written from files[name]
+#: above the order, items not given as a list, an expr that is not a string,
+#: or a key that nothing reads; "{name}" in argv is the path of the spec file
+#: written from files[name]
 MALFORMED_LITERALS = {
     "map exponent": (["verify-map", "--family", "mm", "--m", "1", "--order-total", "9",
                       "--map", "{map}"],
@@ -362,6 +423,20 @@ MALFORMED_LITERALS = {
                       {"surface": {"order": 9, "expr": 5}}),
     "expr null": (["charpoly", "--surface", "{surface}"],
                   {"surface": {"order": 9, "expr": None}}),
+    "unread family key": (["charpoly", "--surface", "{surface}"],
+                          {"surface": {"order": 9, "family": {"name": "cd", "c": "3"}}}),
+    "unread builtin map key": (["verify-map", "--family", "mm", "--m", "1", "--order-total", "9",
+                                "--map", "{map}"],
+                               {"map": {"builtin": "ht", "T": "1/2"}}),
+    "unread map key": (["verify-map", "--family", "mm", "--m", "1", "--order-total", "9",
+                        "--map", "{map}"],
+                       {"map": {"F": [{"l": 2, "k": 0, "re": "1"}]}}),
+    "unread surface key": (["charpoly", "--surface", "{surface}"],
+                           {"surface": {"ordre": 9, "expr": "u*z*zb"}}),
+    "unread item key": (["charpoly", "--surface", "{surface}"],
+                        {"surface": {"order": 9, "series": [
+                            {"a": 1, "b": 1, "c": 1, "re": "1"},
+                            {"a": 2, "b": 2, "c": 1, "Re": "5"}]}}),
 }
 
 

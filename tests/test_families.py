@@ -292,6 +292,18 @@ class TestGenerate:
             with pytest.raises(ValueError, match="m must be a positive integer"):
                 build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: gen_quadric(2), "need N >= 3 for the quadric"),
+        (lambda: gen_cd(0, 0, 6), "need N >= 7 for the C/D family"),
+        (lambda: gen_mm(1, 6), "need N >= 7 for the M_m family"),
+        (lambda: gen_mmt(1, 1, 6), "need N >= 7 for the M_{m,T} family"),
+        (lambda: gen_Ht(2, 1, 4), "need N >= 2m + 1 to carry the lowest H_t coefficients"),
+    ], ids=["quadric", "cd", "mm", "mmt", "Ht"])
+    def test_order_too_low_rejected(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_all_generators_in_class(self):
         for M in (gen_quadric(8), gen_cd(2, -3, 8), gen_mm(2, 9), gen_mmt(2, Fraction(1, 2), 9)):
             rep = validate_class(M)

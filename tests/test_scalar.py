@@ -15,6 +15,7 @@ from nfc.scalar import (
     kpoly_eval,
     make_monic,
     parse_rational,
+    power,
     rational_str,
 )
 from nfc.families import gen_mm
@@ -65,6 +66,17 @@ class TestGaussianRational:
             assert getattr(I, op)("x") is NotImplemented
         with pytest.raises(TypeError, match="unsupported operand"):
             I + "x"
+
+    def test_power_matches_repeated_products(self):
+        a = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
+        out = ONE
+        for e in range(20):
+            assert a ** e == power(a, e, ONE) == out
+            assert a ** -e == ONE / out
+            out = out * a
+        assert power(3, 0, 1) == 1 and power(3, 13, 1) == 3 ** 13
+        with pytest.raises(ZeroDivisionError):
+            ZERO ** -1
 
     def test_serialization_round_trip(self):
         assert gaussian_to_obj(ZERO) == {"re": "0", "im": "0"}
