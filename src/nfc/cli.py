@@ -5,14 +5,15 @@ built-in family (families.BUILTINS declares the built-ins and their
 defaults), or a small polynomial expression language in z, zb, u; reports
 are deterministic JSON (or plain text) with every number serialized
 exactly.  Exit status: 0 on success, 1 on domain errors (class violations,
-resonant stage under --policy strict), 2 on usage or parse errors.
+resonant stage under --policy strict), 2 on usage, parse or input errors.
 
 An expression's tokens are read left to right, skipping whitespace: a
 decimal number with an optional "/ denominator" (whitespace allowed around
 the '/'), a run of letters and digits that must be i, z, zb or u, or one of
 + - * ^ ( ).  A digit is one that int() reads, from any script; a run that
-starts with another digit, such as '²', and any other character are errors
-that name their column.  A unary sign applies after the power: -z^2 is -(z^2).
+starts with another digit, such as '²', any other character, a number too
+long for int() and too deep a nesting are errors that name their column.  A
+unary sign applies after the power: -z^2 is -(z^2).
 
 A spec lists a series as items: {a, b, c, re, im} for the surface, {l, k,
 re, im} for the map components f, g and the field components Xz, Xw; re and
@@ -68,6 +69,10 @@ class ParseError(ValueError):
     """Syntax or validation error in user-supplied specs (exit status 2)."""
 
 
+class InputError(Exception):
+    """A spec file that JSON cannot read (exit status 2)."""
+
+
 # ---------------------------------------------------------------------------
 # expression language: polynomials in z, zb, u with rational literals,
 # the imaginary unit i, operators + - * ^ and parentheses.
@@ -86,9 +91,12 @@ def _token(m: re.Match) -> tuple:
     if num is not None:
         if den == "":
             raise ParseError(f"column {m.start(2) + 1}: expected denominator digits")
-        if den is not None and int(den) == 0:
-            raise ParseError(f"column {m.start(2) + 1}: zero denominator")
-        return ("num", Fraction(int(num), int(den or 1)), start)
+        try:
+            return ("num", Fraction(int(num), int(den or 1)), start)
+        except ZeroDivisionError:
+            raise ParseError(f"column {m.start(2) + 1}: zero denominator") from None
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(f"column {start + 1}: number has too many digits") from None
     if name is not None and name[0].isalpha():
         if name != "i" and name not in Series3.VARS:
             raise ParseError(f"column {start + 1}: unknown symbol {name!r}")
@@ -179,7 +187,10 @@ def _parse_atom(toks: _Tokens) -> Series3:
 def parse_expression(text: str) -> dict:
     """Parse the expression language into a coefficient map (a,b,c) -> value."""
     toks = _Tokens(text)
-    series = _parse_expr(toks)
+    try:
+        series = _parse_expr(toks)
+    except RecursionError:
+        raise ParseError(f"column {toks.peek()[2] + 1}: expression nested too deeply") from None
     toks.take("end")
     return dict(series.terms)
 
@@ -430,8 +441,11 @@ def emit(report: dict, fmt: str) -> str:
 
 
 def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, encoding="utf-8") as fh:  # RFC 8259: JSON text is UTF-8
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too deep, too long
+            raise InputError(str(exc)) from None
 
 
 def _resolve_surface(args) -> tuple[dict, GraphSurface]:
@@ -643,7 +657,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"nfc: parse error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, InputError) as exc:
         print(f"nfc: input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

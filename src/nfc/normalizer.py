@@ -20,8 +20,8 @@ tangency equation 2 Re(X rho) = 0 for X = f d/dz + g d/dw.  A unit field's
 column is a z^l- or z-bar^l-shift of the u^k slices of w^(k-1) rho_z and
 w^k rho_w, so it is read off, not multiplied out.  Only the u-linear factor
 P of phi = u P + O(u^2) reaches those slices, and they have the closed forms
--(1 + iP)^(k-1) P_z and (1 + iP)^(k-1) (1 + P^2)/(2i), built once per stage
-as integer forms.  The tests check these bases against the series
+-(1 + iP)^(k-1) P_z and -(1 + iP)^k (P + i)/2, built once per stage from one
+power table of 1 + iP.  The tests check these bases against the series
 arithmetic of ``surface.infinitesimal_defect``, the columns against
 ``infinitesimal_defect`` and against transforms with unit maps, and the
 distinguished 9x9 block against the transcription in ``resonance``.
@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .scalar import GaussianRational, ZERO
-from .series import _ONE_FORM, FormalMap, HoloSeries2, _accumulate, _form, _rows, compose_maps
+from .series import FormalMap, HoloSeries2, _Point, _product, compose_maps
 from .resonance import char_poly
 from .surface import (FLAT_ROWS, GraphSurface, check_u_linear_class, is_prenormalized_level1,
                       jet7, transform)
@@ -107,48 +107,30 @@ def _stage_bases(M: GraphSurface, k: int) -> tuple:
     """(B_f, B_g), the u^k slices of w^(k-1) rho_z and w^k rho_w, as integer forms.
 
     Write phi = u P + O(u^2).  Along the graph w = u (1 + iP) + O(u^2),
-    rho_z = -u P_z + O(u^2) and rho_w = (1 - iP)/(2i) + O(u), so both slices
-    are u^k times series in (z, zb):
-    B_f = -(1 + iP)^(k-1) P_z and B_g = (1 + iP)^(k-1) (1 + P^2)/(2i).
-    They are needed to degree N - k, so P enters with its terms of degree
-    <= N - k + 1 (only P_z reaches the top one).  Each base is an integer
-    form (D, rows) with the key of z^p zb^q packed as p (N - k + 1) + q, and
-    D the lcm of its reduced coefficient denominators.
+    rho_z = -u P_z + O(u^2) and rho_w = (1 - iP)/(2i) + O(u), so the slices
+    are u^k times B_f = -(1 + iP)^(k-1) P_z and B_g = (1 + iP)^k (1 - iP)/(2i)
+    = -(1 + iP)^k (P + i)/2, powers of 1 + iP from one table times small
+    forms.  To degree N - k, they need the terms of P of degree <= N - k + 1
+    (only P_z reaches the top one).  Each is an integer form (D, rows), with
+    z^p zb^q keyed p (N - k + 1) + q and D the lcm of its reduced denominators.
     """
     top = M.n - k
     B = top + 1
     terms = [(a, b, v) for (a, b, c), v in M.phi.terms.items() if c == 1 and a + b <= B]
     D = lcm(*(v.den for _, _, v in terms))
-    # 1 + iP and P over D, -P_z over D
-    one_ip, p, neg_pz = [(0, 0, D, 0)], [], []
+    # 1 + iP and -P_z over D, -(P + i)/2 over 2D
+    one_ip, neg_pz, neg_p_i = [(0, 0, D, 0)], [], [(0, 0, 0, -D)]
     for a, b, v in terms:
         q = D // v.den
         x, y = v.nre * q, v.nim * q
         if a + b <= top:
             one_ip.append((a + b, a * B + b, -y, x))
-            p.append((a + b, a * B + b, x, y))
+            neg_p_i.append((a + b, a * B + b, -x, -y))
         if a:
             neg_pz.append((a + b - 1, (a - 1) * B + b, -a * x, -a * y))
-    one_ip.sort()
-    neg_pz.sort()
-    p.sort()
-    # (1 + iP)^(k-1) over Dq
-    Dq, q_rows = _ONE_FORM
-    for _ in range(k - 1):
-        acc = {}
-        _accumulate(acc, q_rows, one_ip, top)
-        Dq, q_rows = _form(acc, Dq * D)
-    acc = {}
-    _accumulate(acc, q_rows, neg_pz, top)
-    b_f = _form(acc, Dq * D)
-    # 1 + P^2 over D^2, then times (1 + iP)^(k-1); (x + iy)/(2i) = (y - ix)/2
-    acc = {0: [D * D, 0, 0]}
-    _accumulate(acc, p, p, top)
-    one_p2 = sorted(_rows(acc))
-    acc = {}
-    _accumulate(acc, q_rows, one_p2, top)
-    acc = {key: [si, -sr, d] for key, (sr, si, d) in acc.items()}
-    return b_f, _form(acc, 2 * Dq * D * D)
+    powers = _Point(((D, sorted(one_ip)),), top, HoloSeries2)
+    return (_product(powers.power(0, k - 1), (D, sorted(neg_pz)), top),
+            _product(powers.power(0, k), (2 * D, sorted(neg_p_i)), top))
 
 
 def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
@@ -158,9 +140,9 @@ def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
     slice of X rho + conj(X rho), X = f d/dz or g d/dw: the z^l-shift of
     c B_f or c B_g (``_stage_bases``) and its conjugate, a z-bar^l-shift.
     So every column is read off the integer rows of two bases per stage,
-    visiting only the base terms that land on a condition slot.  Every factor of a base has degree >= 0, so
-    truncating it at degree N - k and then shifting keeps exactly the terms
-    that truncating inside each product would.
+    visiting only the base terms that land on a condition slot.  No factor
+    of a base has negative degree, so truncating it at degree N - k and then
+    shifting keeps exactly the terms that truncating each product would.
     """
     n = M_current.n
     if not 2 <= k <= n - 6:

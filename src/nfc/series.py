@@ -388,6 +388,13 @@ def _form(acc: dict, D: int) -> tuple:
     return D // g, sorted((d, key, sr // g, si // g) for d, key, sr, si in _rows(acc))
 
 
+def _product(left: tuple, right: tuple, n: int) -> tuple:
+    """Integer form of left * right truncated at total degree n; right's rows sorted by degree."""
+    acc: dict = {}
+    _accumulate(acc, left[1], right[1], n)
+    return _form(acc, left[0] * right[0])
+
+
 #: The integer form of the constant 1, the zeroth power of every replacement.
 _ONE_FORM = (1, [(0, 0, 1, 0)])
 
@@ -432,10 +439,7 @@ class _Point:
                 D, rows = self.power(0, len(table))
                 table.append((D, _conjugate_rows(rows, self.n + 1)))
                 continue
-            prev, base = table[-1], table[1]
-            acc: dict = {}
-            _accumulate(acc, prev[1], base[1], self.n)
-            table.append(_form(acc, prev[0] * base[0]))
+            table.append(_product(table[-1], table[1], self.n))
         return table[e]
 
     def compose(self, s: _SparseSeries) -> _SparseSeries:

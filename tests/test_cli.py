@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+#: the most digits int() reads from text, 0 where it reads any number
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+#: decimal text one digit longer than int() reads
+TOO_LONG_LITERAL = "1" + "0" * INT_DIGIT_LIMIT
 
 
 class TestExpressionParser:
@@ -123,6 +131,35 @@ class TestExpressionParser:
         # any whitespace around '/', and a decimal digit of any script, read as int() reads it
         assert parse_expression("3 \t/\n 4*u") == {(0, 0, 1): GaussianRational(Fraction(3, 4))}
         assert parse_expression("٣*u*z*zb") == {(1, 1, 1): GaussianRational(3)}
+
+    @pytest.mark.parametrize("template, column", [
+        ("{}*u*z*zb", 1),
+        ("u*z*zb + 1/{}*u*z^2*zb^2", 10),
+        ("u*z*zb*z^{}", 10),
+    ], ids=["coefficient", "denominator", "exponent"])
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() reads any number of digits")
+    def test_literal_too_long_for_int_exit_2(self, capsys, template, column):
+        # a literal int() will not read is a parse error at its column, not a bare ValueError
+        text = template.format(TOO_LONG_LITERAL)
+        message = f"column {column}: number has too many digits"
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == message
+        code, out, err = run_cli(capsys, "charpoly", "--expr", text, "--order-total", "9")
+        assert (code, out, err) == (2, "", f"nfc: parse error: {message}\n")
+
+    @pytest.mark.parametrize("text", ["(" * 300 + "u*z*zb" + ")" * 300, "-" * 2000 + "u*z*zb"],
+                             ids=["parentheses", "unary minus"])
+    def test_nested_too_deeply_exit_2(self, capsys, text):
+        with pytest.raises(ParseError, match=r"^column \d+: expression nested too deeply$"):
+            parse_expression(text)
+        code, out, err = run_cli(capsys, "charpoly", f"--expr={text}", "--order-total", "9")
+        assert (code, out) == (2, "")
+        assert err.startswith("nfc: parse error: column ") and "nested too deeply" in err
+
+    def test_moderate_nesting_parses(self):
+        assert parse_expression("(" * 100 + "u*z*zb" + ")" * 100) == {(1, 1, 1): ONE}
+        assert parse_expression("-" * 100 + "u*z*zb") == {(1, 1, 1): ONE}
 
 
 def test_non_decimal_digit_is_an_unexpected_character(capsys):
@@ -337,6 +374,17 @@ class TestCommands:
         code, out, err = run_cli(capsys, "charpoly", "--surface", str(bad))
         assert (code, out) == (2, "")
         assert err.startswith("nfc: input error: Expecting value")
+        # not UTF-8, nested past the recursion limit, an integer int() will not read
+        cases = [(b'{"order": 9, "expr": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+                 (b"[" * 100_000, "maximum recursion depth exceeded")]
+        if INT_DIGIT_LIMIT:
+            cases.append((b'{"order": 9, "family": {"name": "cd", "C": '
+                          + TOO_LONG_LITERAL.encode() + b"}}", "Exceeds the limit"))
+        for content, message in cases:
+            bad.write_bytes(content)
+            code, out, err = run_cli(capsys, "charpoly", "--surface", str(bad))
+            assert (code, out) == (2, ""), message
+            assert err.startswith(f"nfc: input error: {message}"), message
 
     def test_domain_error_exit_1(self, capsys):
         # not in the class: phi11 = 0

@@ -386,10 +386,10 @@ class TestStageAssembly:
                 assert (solve_stage(sys).status == "resonant") == singular, (name, k)
 
     def test_products_per_stage_do_not_grow_with_order(self, monkeypatch):
-        # columns are shifts of a few base series: one stage costs the same
-        # number of series products at any truncation order.  The stage
-        # bases run _accumulate through the name nfc.normalizer imported, and
-        # _Point.power runs it without _mul_kernel, so every name is counted
+        # columns are shifts of two base series, so one stage costs the same
+        # number of kernel calls at any truncation order: k - 1 products for
+        # the powers of 1 + iP and one per base, all through series._product,
+        # none through _mul_kernel
         calls, accumulations = [], []
         kernel, accumulate = nfc.series._mul_kernel, nfc.series._accumulate
 
@@ -403,17 +403,14 @@ class TestStageAssembly:
 
         monkeypatch.setattr(nfc.series, "_mul_kernel", counted)
         monkeypatch.setattr(nfc.series, "_accumulate", counted_accumulate)
-        monkeypatch.setattr(nfc.normalizer, "_accumulate", counted_accumulate)
         for k in (2, 4, 6):
-            counts, accumulated = [], []
+            counts = []
             for n in (12, 18):
                 calls.clear()
                 accumulations.clear()
                 stage_system(gen_cd(0, -24, n), k)
-                counts.append(len(calls))
-                accumulated.append(len(accumulations))
-            assert counts[0] == counts[1] and counts[0] <= k + 2, (k, counts)
-            assert 0 < accumulated[0] == accumulated[1], (k, accumulated)
+                counts.append((len(calls), len(accumulations)))
+            assert counts == [(0, k + 1)] * 2, (k, counts)
 
 
 def stage_bases_reference(M: GraphSurface, k: int) -> tuple:
@@ -441,7 +438,7 @@ def _dense_u_linear(n: int) -> GraphSurface:
 
 
 class TestStageBases:
-    """The closed-form bases B_f = -(1 + iP)^(k-1) P_z, B_g = (1 + iP)^(k-1) (1 + P^2)/(2i)."""
+    """The closed-form bases B_f = -(1 + iP)^(k-1) P_z, B_g = -(1 + iP)^k (P + i)/2."""
 
     SURFACES = {
         "maker": lambda n: Maker(seed=n).class_surface(n, nterms=10, prenormalized=False),
@@ -466,20 +463,21 @@ class TestStageBases:
                     assert D == lcm(*(v.den for v in base.values())), (name, n, k)
 
     def test_accumulations_per_stage(self, monkeypatch):
-        # k - 1 products for (1 + iP)^(k-1), then P_z, P^2 and 1 + P^2, at any order
+        # k - 1 products for the powers 2, ..., k of 1 + iP, then one per base,
+        # at any order
         calls = []
-        accumulate = nfc.normalizer._accumulate
+        accumulate = nfc.series._accumulate
 
         def counted(*args):
             calls.append(1)
             return accumulate(*args)
 
-        monkeypatch.setattr(nfc.normalizer, "_accumulate", counted)
+        monkeypatch.setattr(nfc.series, "_accumulate", counted)
         for n in (12, 18):
             for k in (2, 4, 6):
                 calls.clear()
                 nfc.normalizer._stage_bases(_dense_u_linear(n), k)
-                assert len(calls) == k + 2, (n, k, len(calls))
+                assert len(calls) == k + 1, (n, k, len(calls))
 
 
 class TestSolveStage:
