@@ -31,7 +31,6 @@ parameters; an item-form map reads f, g and an item-form field Xz, Xw.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -491,7 +490,7 @@ def _charpoly_payload(M: GraphSurface) -> dict:
         "char_poly": _kpoly_obj(rep.char_poly),
         "monic_constant": gaussian_to_obj(rep.monic_constant),
         "resonances": rep.resonances,
-        "jet7": {f.name: gaussian_to_obj(getattr(j, f.name)) for f in dataclasses.fields(j)},
+        "jet7": {name: gaussian_to_obj(x) for name, x in zip(j._fields, j)},
     }
 
 

@@ -10,8 +10,7 @@ families, the map H_t and the field X) with its generator and parameters.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalar import GaussianRational, ONE
@@ -22,21 +21,15 @@ from .surface import GraphSurface, validate_class
 DEFAULT_ORDER = 13
 
 
-@dataclass
-class FamilySpec:
-    """Parsed form of a family request: name plus rational parameters."""
-
-    name: str                      # a key of BUILTINS["surface"]
-    params: dict = field(default_factory=dict)
-    order: int = DEFAULT_ORDER
+#: Parsed form of a family request: name, a key of BUILTINS["surface"],
+#: plus rational parameters.
+FamilySpec = namedtuple("FamilySpec", "name params order", defaults=(DEFAULT_ORDER,))
 
 
-@dataclass(frozen=True)
-class Builtin:
+class Builtin(namedtuple("Builtin", "build params")):
     """build(*values, N) and its parameters in order, each to its default or None if required."""
 
-    build: Callable
-    params: dict
+    __slots__ = ()
 
     def values(self, given: dict, what: str) -> list:
         """The value of each parameter, in order: the given one, else its default."""

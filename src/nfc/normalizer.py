@@ -33,8 +33,7 @@ then with the prenormalization map.  Identity stage maps are skipped.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -57,8 +56,7 @@ TAGGED_CONDITIONS = tuple((a, b, part) for a, b in ((1, 0), (1, 1), (2, 1)) + FL
                           for part in (("re",) if a == b else ("re", "im")))
 
 
-@dataclass
-class StageSystem:
+class StageSystem(namedtuple("StageSystem", "k unknowns conditions rows den rhs")):
     """Exact affine stage-k system: matrix * unknowns = rhs targets zeros.
 
     Unknowns are the real components of f_{l,k-1} (0 <= l <= Lf = N-1-k) and
@@ -75,12 +73,7 @@ class StageSystem:
     unknowns are free and which conditions are dropped.
     """
 
-    k: int
-    unknowns: list
-    conditions: list
-    rows: list
-    den: int
-    rhs: list
+    __slots__ = ()
 
     def tagged_block(self):
         """The trailing 9x9 block, on the distinguished conditions/unknowns, in Fractions."""
@@ -192,16 +185,11 @@ def stage_system(M_current: GraphSurface, k: int) -> StageSystem:
                        rows=rows, den=den, rhs=rhs)
 
 
-@dataclass
-class StageSolution:
-    """Exact solve outcome for one stage."""
-
-    k: int
-    status: str                  # "solved" | "resonant"
-    values: dict                 # unknown label -> Fraction
-    free: list = field(default_factory=list)       # gauge-fixed labels (set to 0)
-    dropped: list = field(default_factory=list)    # unreachable conditions
-    residuals: list = field(default_factory=list)  # (condition, leftover target value)
+#: Exact solve outcome for one stage: status "solved" or "resonant", values
+#: maps each unknown label to a Fraction, free lists the gauge-fixed labels
+#: (set to 0), dropped the unreachable conditions, and residuals the
+#: (condition, leftover target value) pairs.
+StageSolution = namedtuple("StageSolution", "k status values free dropped residuals")
 
 
 def _check_policy(policy: str):
@@ -344,22 +332,14 @@ def prenormalize_level1(M: GraphSurface) -> tuple[GraphSurface, FormalMap]:
     return current, total
 
 
-@dataclass
-class StageRecord:
-    k: int
-    status: str
-    residuals: list      # ((a, b, c), GaussianRational) coefficients left nonzero
-    gauge: list          # free unknown labels pinned to zero
+#: One stage of normalize: residuals are the ((a, b, c), GaussianRational)
+#: coefficients left nonzero, gauge the free unknown labels pinned to zero.
+StageRecord = namedtuple("StageRecord", "k status residuals gauge")
 
-
-@dataclass
-class NormalizationResult:
-    normal_form: GraphSurface
-    map: FormalMap
-    stages: list
-    resonances_predicted: list
-    resonances_observed: list
-    char_poly_report: object = None
+NormalizationResult = namedtuple(
+    "NormalizationResult",
+    "normal_form map stages resonances_predicted resonances_observed char_poly_report",
+    defaults=(None,))
 
 
 def normalize(M: GraphSurface, K: int, policy: str = "gauge_zero") -> NormalizationResult:

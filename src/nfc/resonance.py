@@ -18,7 +18,7 @@ the actual transform (see the stage-system cross-validation tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalar import GaussianRational, KPoly, ONE, _as_kpoly, integer_roots_ge2, make_monic
@@ -119,14 +119,8 @@ def det(rows):
     return minor(0, (1 << n) - 1)
 
 
-@dataclass
-class ResonanceReport:
-    """Monic characteristic polynomial with its scaling and integer roots."""
-
-    char_poly: KPoly
-    monic_constant: GaussianRational
-    resonances: list
-    jet: Jet7
+#: Monic characteristic polynomial with its scaling, integer roots and jet.
+ResonanceReport = namedtuple("ResonanceReport", "char_poly monic_constant resonances jet")
 
 
 def char_poly(j: Jet7) -> ResonanceReport:

@@ -245,22 +245,28 @@ class KPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [as_gaussian(c) for c in coeffs]
+    def __new__(cls, coeffs: Iterable = ()):
+        return cls._of([as_gaussian(c) for c in coeffs])
+
+    @classmethod
+    def _of(cls, cs: list) -> "KPoly":
+        """The polynomial of a list of GaussianRationals, trimmed but not coerced."""
         while cs and cs[-1].is_zero():
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
 
     def __setattr__(self, *args):
         raise AttributeError("KPoly is immutable")
 
     @classmethod
     def constant(cls, c) -> "KPoly":
-        return cls([as_gaussian(c)])
+        return cls._of([as_gaussian(c)])
 
     @classmethod
     def k(cls) -> "KPoly":
-        return cls([ZERO, ONE])
+        return cls._of([ZERO, ONE])
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -276,14 +282,14 @@ class KPoly:
     def __add__(self, other) -> "KPoly":
         other = _as_kpoly(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return KPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        return KPoly._of([self.coeff(i) + other.coeff(i) for i in range(n)])
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "KPoly":
         other = _as_kpoly(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return KPoly([self.coeff(i) - other.coeff(i) for i in range(n)])
+        return KPoly._of([self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def __rsub__(self, other):
         return _as_kpoly(other).__sub__(self)
@@ -291,19 +297,19 @@ class KPoly:
     def __mul__(self, other) -> "KPoly":
         other = _as_kpoly(other)
         if self.is_zero() or other.is_zero():
-            return KPoly()
+            return KPoly._of([])
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return KPoly(out)
+        return KPoly._of(out)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "KPoly":
-        return KPoly([-c for c in self.coeffs])
+        return KPoly._of([-c for c in self.coeffs])
 
     def coeff(self, i: int) -> GaussianRational:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
@@ -343,7 +349,7 @@ class KPoly:
 def _as_kpoly(x) -> KPoly:
     if isinstance(x, KPoly):
         return x
-    return KPoly.constant(as_gaussian(x))
+    return KPoly.constant(x)
 
 
 def kpoly_eval(p: KPoly, x) -> GaussianRational:
@@ -363,7 +369,7 @@ def make_monic(p: KPoly) -> tuple[KPoly, GaussianRational]:
     if p.is_zero():
         raise ValueError("cannot normalize zero polynomial")
     lc = p.coeffs[-1]
-    return KPoly([c / lc for c in p.coeffs]), lc
+    return KPoly._of([c / lc for c in p.coeffs]), lc
 
 
 def integer_roots_ge2(p: KPoly) -> list[int]:

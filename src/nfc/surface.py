@@ -19,7 +19,7 @@ All statements are certified to the truncation order N only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalar import GaussianRational, ZERO, ONE, I, as_gaussian
@@ -66,35 +66,24 @@ class GraphSurface:
         return f"GraphSurface(n={self.n}, {len(self.phi.terms)} terms)"
 
 
-@dataclass
-class ClassReport:
-    """Outcome of validate_class; report-style, never raises."""
-
-    is_infinite_type: bool
-    is_normal_coordinates: bool
-    phi11: GaussianRational
-    in_class: bool
-    diagnostics: list = field(default_factory=list)
-    rescaled: "GraphSurface | None" = None
+#: Outcome of validate_class; diagnostics lists (reason, key) pairs.
+ClassReport = namedtuple("ClassReport", "is_infinite_type is_normal_coordinates phi11 "
+                         "in_class diagnostics rescaled", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class Jet7:
+class Jet7(namedtuple("Jet7", "phi22 phi32 phi33 phi42 phi43")):
     """The u-linear 7-jet entries that the characteristic polynomial needs.
 
     phi22 and phi33 are real by Hermitian symmetry; the conjugate entries
     phi23, phi24, phi34 are derived, not stored.
     """
 
-    phi22: GaussianRational
-    phi32: GaussianRational
-    phi33: GaussianRational
-    phi42: GaussianRational
-    phi43: GaussianRational
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.phi22.is_real() or not self.phi33.is_real():
+    def __new__(cls, phi22, phi32, phi33, phi42, phi43):
+        if not phi22.is_real() or not phi33.is_real():
             raise ValueError("phi22 and phi33 must be real")
+        return super().__new__(cls, phi22, phi32, phi33, phi42, phi43)
 
     @classmethod
     def zero(cls) -> "Jet7":
@@ -224,13 +213,14 @@ def jet7(M: GraphSurface) -> Jet7:
     )
 
 
-@dataclass
-class NormalFormReport:
-    """check_normal_form outcome: every violated condition with its monomial."""
+class NormalFormReport(namedtuple("NormalFormReport", "ok violations_zero_rows violations_flat")):
+    """check_normal_form outcome: every violated condition with its monomial.
 
-    ok: bool
-    violations_zero_rows: list   # (1.8)-type: N_a0 = N_a1 = 0
-    violations_flat: list        # (1.9)-type: dN_22/du = dN_32/du = dN_33/du = 0
+    violations_zero_rows are the (1.8)-type ones, N_a0 = N_a1 = 0, and
+    violations_flat the (1.9)-type ones, dN_22/du = dN_32/du = dN_33/du = 0.
+    """
+
+    __slots__ = ()
 
     def violations(self):
         return self.violations_zero_rows + self.violations_flat

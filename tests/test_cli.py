@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,9 @@ from nfc.cli import (
     parse_surface_spec,
     surface_spec_to_obj,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -541,6 +547,22 @@ def test_repeated_item_takes_the_last_coefficient():
     assert m.f.is_zero() and m.g == HoloSeries2(9, {(2, 1): 1})
     Xz, Xw = parse_field_spec({"Xz": items, "Xw": items[::-1]}, 9)
     assert Xz.is_zero() and Xw == HoloSeries2(9, {(2, 1): 1})
+
+
+def test_import_loads_no_code_generation_modules():
+    # dataclasses pulls in inspect and ast, whose import a CLI call pays at
+    # every start-up; only the modules that importing nfc.cli adds count, so
+    # a site hook that loads one of them itself does not fail the test
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = ("import sys; before = set(sys.modules); import nfc.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    new = set(proc.stdout.split())
+    assert "nfc.cli" in new
+    assert new.isdisjoint({"dataclasses", "inspect", "ast"}), sorted(new)
 
 
 class TestPinnedOutput:

@@ -550,8 +550,7 @@ class TestSolveStage:
 
         def doubled(sys):
             sol = real(sys)
-            sol.residuals = [(cond, 2 * x) for cond, x in sol.residuals]
-            return sol
+            return sol._replace(residuals=[(cond, 2 * x) for cond, x in sol.residuals])
 
         monkeypatch.setattr(nfc.normalizer, "solve_stage", doubled)
         with pytest.raises(ValueError, match=r"stage k=2: coefficient \(3, 2, 2\)"):

@@ -9,6 +9,7 @@ from nfc.series import (FormalMap, HoloSeries2, Series3, _Point, hermitian_conju
                         is_hermitian, split_real_imag, substitute)
 from nfc.surface import (
     GraphSurface,
+    Jet7,
     _image_point,
     check_normal_form,
     check_u_linear_class,
@@ -131,6 +132,18 @@ class TestJet7:
     def test_needs_enough_order(self):
         with pytest.raises(ValueError, match="N >= 8"):
             jet7(gen_quadric(7))
+
+    def test_diagonal_entries_real_and_immutable(self):
+        with pytest.raises(ValueError, match="phi22 and phi33 must be real"):
+            Jet7(I, ZERO, ZERO, ZERO, ZERO)
+        with pytest.raises(ValueError, match="phi22 and phi33 must be real"):
+            Jet7(phi22=ONE, phi32=I, phi33=ONE + I, phi42=ZERO, phi43=ZERO)
+        j = Jet7(ONE, I, ONE, ZERO, ZERO)
+        with pytest.raises(AttributeError):
+            j.phi22 = ZERO
+        with pytest.raises(AttributeError):
+            j.phi44 = ZERO
+        assert j == Jet7(ONE, I, ONE, ZERO, ZERO) and j.phi22 == ONE
 
 
 class TestCheckULinearClass:
