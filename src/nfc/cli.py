@@ -26,6 +26,9 @@ names it, never replaced by a default: a surface spec reads order, family,
 series, expr; a family object reads name and the parameters of every
 built-in family; a built-in map or field reads builtin and that built-in's
 parameters; an item-form map reads f, g and an item-form field Xz, Xw.
+The same holds for flags: a parameter flag (--m, --T, --C, --D, --t) that
+neither the chosen --family nor the chosen built-in map or field reads is a
+parse error that names it, and only verify-map takes --target.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .surface import (
     validate_class,
 )
 from .resonance import char_poly
-from .normalizer import normalize
+from .normalizer import normalize, prenormalize_level1
 from .families import (BUILTINS, DEFAULT_ORDER, FamilySpec, gen_cd, gen_Ht, gen_mm, gen_mmt,
                        gen_quadric, gen_X, generate)
 
@@ -241,6 +244,10 @@ _ITEM_KEYS = {Series3: "abc", HoloSeries2: "lk"}
 #: whether or not its family reads them (--family passes each flag that is set)
 _FAMILY_PARAMS = tuple(dict.fromkeys(
     key for fam in BUILTINS["surface"].values() for key in fam.params))
+
+#: the parameters of every built-in, one flag each
+_PARAM_FLAGS = tuple(dict.fromkeys(
+    key for kind in BUILTINS.values() for builtin in kind.values() for key in builtin.params))
 
 
 def _check_keys(obj: dict, known, what: str):
@@ -461,6 +468,14 @@ def _resolve_surface(args) -> tuple[dict, GraphSurface]:
     else:
         raw = {"expr": args.expr}
     spec = parse_surface_spec(raw, default_order=args.order_total)
+    # the built-ins chosen: the family, a built-in map, the default field
+    chosen = [BUILTINS["surface"].get(args.family),
+              BUILTINS["map"].get(getattr(args, "map", None)),
+              BUILTINS["field"]["mmt"] if hasattr(args, "field") and not args.field else None]
+    read = {key for builtin in chosen if builtin is not None for key in builtin.params}
+    for key in _PARAM_FLAGS:
+        if getattr(args, key, None) is not None and key not in read:
+            raise ParseError(f"flag --{key} is read by no chosen family, built-in map or field")
     return spec, build_surface(spec)
 
 
@@ -484,7 +499,9 @@ def _resolve_field(args, order: int):
 
 
 def _charpoly_payload(M: GraphSurface) -> dict:
-    rep = char_poly(jet7(M))
+    """The characteristic polynomial of the 7-jet, read after level-1 prenormalization
+    as normalize reads it; a prenormalized M is its own prenormalization."""
+    rep = char_poly(jet7(prenormalize_level1(M)[0]))
     j = rep.jet
     return {
         "char_poly": _kpoly_obj(rep.char_poly),
@@ -624,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_map:
             p.add_argument("--map", help="map spec file (JSON) or 'ht'")
             p.add_argument("--t", help="parameter t for the built-in map family")
-            p.add_argument("--target", help="target surface spec file (verify-map)")
         if with_field:
             p.add_argument("--field", help="field spec file (JSON); default built-in")
         return p
@@ -638,8 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit normal-form terms up to this total degree")
     p = command("transform", cmd_transform, "transform a surface by a formal map", with_map=True)
     p.add_argument("--display-cutoff", type=int, default=9)
-    command("verify-map", cmd_verify_map, "check a map sends the surface into the target",
-            with_map=True)
+    p = command("verify-map", cmd_verify_map, "check a map sends the surface into the target",
+                with_map=True)
+    p.add_argument("--target", help="target surface spec file")
     command("verify-field", cmd_verify_field, "check a vector field is tangent to the surface",
             with_field=True)
     command("selftest", cmd_selftest, "run the built-in example checks", surface=False)

@@ -52,6 +52,10 @@ class GaussianRational:
     def __setattr__(self, *args):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _raw: the slot restore would need __setattr__
+        return (GaussianRational._raw, (self.nre, self.nim, self.den))
+
     @classmethod
     def _raw(cls, nre: int, nim: int, den: int) -> "GaussianRational":
         if den < 0:
@@ -259,6 +263,9 @@ class KPoly:
 
     def __setattr__(self, *args):
         raise AttributeError("KPoly is immutable")
+
+    def __reduce__(self):
+        return (KPoly, (self.coeffs,))
 
     @classmethod
     def constant(cls, c) -> "KPoly":

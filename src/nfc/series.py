@@ -152,6 +152,9 @@ class _SparseSeries:
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return (type(self), (self.n, self.terms))
+
     def _integer_form(self) -> tuple:
         """The kernel operand (D, rows), cached on first use.
 
@@ -458,12 +461,13 @@ class _Point:
         acc maps a packed key to [re, im, degree], the Gaussian-integer
         numerator of the coefficient times D, as ``_accumulate`` leaves it.
 
-        The terms of s are grouped by every exponent but the last.  A group's
-        polynomial in the last replacement is assembled as one integer form
-        over the lcm L of its terms' denominators, and is then multiplied by
-        the integer forms of the head powers.  The groups are brought to the
-        lcm D of their denominators L * D(r1^e1) * ... before these products,
-        so that all of them accumulate unreduced into one table over D.
+        The terms of s are grouped by every exponent but the last.  A plan
+        pass takes D as the lcm of the group denominators Dg = L * D(r1^e1) *
+        ..., read off the cached power forms, L the lcm of D(c) * D(rm^e) over
+        the group's terms c rm^e; D may count a group whose rows cancel.  A
+        build pass then assembles one group at a time straight over D, with
+        D // Dg folded into each term's scalar, and multiplies it by the head
+        powers into the one unreduced table over D, holding no other rows.
 
         At a real point a Hermitian s in (z, zb, u) composes to a Hermitian
         series, and the conjugate of the group (a, b) is the group (b, a).
@@ -477,26 +481,21 @@ class _Point:
             if mirror and key[0] > key[1]:
                 continue
             groups.setdefault(key[:-1], []).append((key[-1], v))
-        built = []
+        plan = []
         for prefix, items in groups.items():
+            heads = [self.power(i, e) for i, e in enumerate(prefix) if e]
             pows = [(v, self.power(last, e)) for e, v in items]
-            L = math.lcm(*(v.den * P[0] for v, P in pows))
-            acc: dict = {}
-            for v, (De, rows) in pows:
-                q = L // (v.den * De)
-                _accumulate(acc, [(0, 0, v.nre * q, v.nim * q)], rows, n)
-            rows = _rows(acc)
-            if rows:
-                heads = [self.power(i, e) for i, e in enumerate(prefix) if e]
-                built.append((mirror and prefix[0] < prefix[1], rows,
-                              math.prod((Dh for Dh, _ in heads), start=L), heads))
-        D = math.lcm(*(Dg for _, _, Dg, _ in built))
+            plan.append((mirror and prefix[0] < prefix[1], heads,
+                         math.prod(Dh for Dh, _ in heads), pows))
+        D = math.lcm(*(v.den * De * H for _, _, H, pows in plan for v, (De, _) in pows))
         out: dict = {}
         half: dict = {}     # the groups a < b of a mirrored composition
-        for lower, rows, Dg, heads in built:
-            m = D // Dg
-            if m != 1:
-                rows = [(d, key, sr * m, si * m) for d, key, sr, si in rows]
+        for lower, heads, H, pows in plan:
+            acc: dict = {}
+            for v, (De, prows) in pows:
+                q = D // (v.den * De * H)
+                _accumulate(acc, [(0, 0, v.nre * q, v.nim * q)], prows, n)
+            rows = _rows(acc)
             for _, hrows in heads[:-1]:
                 acc = {}
                 _accumulate(acc, rows, hrows, n)
@@ -643,6 +642,9 @@ class FormalMap:
 
     def __setattr__(self, *args):
         raise AttributeError("FormalMap is immutable")
+
+    def __reduce__(self):
+        return (FormalMap, (self.f, self.g))
 
     @property
     def n(self) -> int:

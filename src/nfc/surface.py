@@ -53,6 +53,9 @@ class GraphSurface:
     def __setattr__(self, *args):
         raise AttributeError("GraphSurface is immutable")
 
+    def __reduce__(self):
+        return (GraphSurface, (self.phi,))
+
     @property
     def n(self) -> int:
         return self.phi.n

@@ -392,6 +392,44 @@ class TestCommands:
             assert (code, out) == (2, ""), message
             assert err.startswith(f"nfc: input error: {message}"), message
 
+    def test_charpoly_reads_the_prenormalized_jet(self, capsys):
+        # phi_21 = phi_12 = 1 is cleared by prenormalization first, as
+        # normalize clears it
+        surface = ["--expr", "u*z*zb + u*z^2*zb + u*z*zb^2", "--order-total", "9"]
+        code, out, err = run_cli(capsys, "charpoly", *surface)
+        assert (code, err) == (0, "")
+        charpoly = json.loads(out)["results"]
+        code, out, _ = run_cli(capsys, "normalize", *surface)
+        assert code == 0
+        assert charpoly["char_poly"] == json.loads(out)["results"]["char_poly"]
+        code, out, _ = run_cli(capsys, "resonances", *surface)
+        assert code == 0
+        assert json.loads(out)["results"] == {key: charpoly[key]
+                                              for key in ("resonances", "monic_constant")}
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify-map", "--family", "quadric", "--map", "map.json", "--t", "7"], "--t"),
+        (["charpoly", "--expr", "u*z*zb", "--m", "3", "--C", "1"], "--C"),
+        (["charpoly", "--family", "quadric", "--m", "3"], "--m"),
+        (["verify-field", "--family", "quadric", "--field", "field.json", "--T", "0"], "--T"),
+    ])
+    def test_unread_flag_exit_2(self, capsys, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "map.json").write_text(json.dumps({"f": [], "g": []}))
+        (tmp_path / "field.json").write_text(json.dumps({"Xz": [], "Xw": []}))
+        code, out, err = run_cli(capsys, *argv, "--order-total", "9")
+        assert (code, out) == (2, "")
+        assert err == (f"nfc: parse error: flag {flag} is read by no chosen family, "
+                       "built-in map or field\n")
+
+    def test_target_is_a_verify_map_flag_only(self, capsys, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"order": 9, "expr": "u*z*zb"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--family", "quadric", "--map", "ht", "--target", str(target)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --target" in capsys.readouterr().err
+
     def test_domain_error_exit_1(self, capsys):
         # not in the class: phi11 = 0
         code, _, err = run_cli(capsys, "charpoly", "--expr", "u^2*z*zb",

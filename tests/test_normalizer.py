@@ -1,14 +1,16 @@
 """Prenormalization, stage systems, solving, the full normalization loop."""
 
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
-from nfc.scalar import GaussianRational, I, ONE, ZERO
-from nfc.series import FormalMap, HoloSeries2, Series3, compose_maps
+from nfc.scalar import GaussianRational, I, KPoly, ONE, ZERO
+from nfc.series import FormalMap, HoloSeries2, Series3, compose_maps, uni_function
 from nfc.surface import (GraphSurface, _along_graph, _rho_gradient, check_normal_form,
                          infinitesimal_defect, jet7, map_defect, scale_surface, transform)
 from nfc.resonance import char_poly, det
@@ -989,3 +991,41 @@ class TestMainTheorem:
             acted = scale_surface(res.normal_form, self.ALPHA, self.S)
             assert _low_levels(scaled, self.K) == _low_levels(acted, self.K)
             assert _low_levels(scaled, self.K) != _low_levels(res.normal_form, self.K)
+
+
+class TestPickleAndCopy:
+    """Exact objects survive pickle, copy and deepcopy, and stay immutable.
+
+    Their classes refuse ``__setattr__``, so each rebuilds itself through a
+    constructor instead of the default slot restore.
+    """
+
+    @staticmethod
+    def _objects() -> dict:
+        n = 10
+        res = normalize(_messy_surface(n), 4)
+        return {
+            "gaussian above 2^64": GaussianRational(Fraction(2**70 + 1, 3**45), -(2**66)),
+            "kpoly": KPoly([Fraction(1, 3), I, 0, GaussianRational(2, -5)]),
+            "series3": _messy_surface(n).phi,
+            "series1": uni_function("tan", 9),
+            "graph surface": _messy_surface(n),
+            "formal map": res.map,
+            "normalization result": res,
+        }
+
+    def test_round_trips_are_equal(self):
+        objects = self._objects()
+        assert not objects["formal map"].is_identity() and objects["normalization result"].stages
+        for name, obj in objects.items():
+            for copied in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+                assert type(copied) is type(obj), name
+                assert copied == obj, name
+
+    def test_copies_stay_immutable(self):
+        objects = self._objects()
+        for name in ("gaussian above 2^64", "kpoly", "series3", "series1", "graph surface",
+                     "formal map"):
+            copied = pickle.loads(pickle.dumps(objects[name]))
+            with pytest.raises(AttributeError, match="immutable"):
+                copied.n = 0

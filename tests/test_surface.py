@@ -1,5 +1,7 @@
 """Surface data model, class validation, jets, transforms, tangency oracles."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -387,6 +389,26 @@ class TestMapDefect:
     def test_ht_membership(self):
         m1 = gen_mm(1, 11)
         assert map_defect(m1, gen_Ht(1, Fraction(-2), 11), m1).is_zero()
+
+    def test_composition_holds_one_group_at_a_time(self):
+        # The composition behind the defect check, at the image point of the
+        # normalizing map: what it allocates beyond the power tables and the
+        # result it keeps is under half of those, because it holds one
+        # group's rows at a time.
+        M = _messy_surface(12)
+        res = normalize(M, 6)
+        T, _ = _image_point(M, res.map)
+        phi = res.normal_form.phi
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            D, acc = T._compose_acc(phi)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(acc) > 100
+        assert peak - current < (current - base) / 2
 
 
 class TestInfinitesimalDefect:
