@@ -211,8 +211,11 @@ def _literal(val, what: str, integer: bool = False):
 
 
 def _param(key: str, val):
-    """The exact value of a built-in's parameter: m is an integer, the rest rationals."""
-    return _literal(val, key, integer=key == "m")
+    """The exact value of a built-in's parameter: m is a positive integer, the rest rationals."""
+    value = _literal(val, key, integer=key == "m")
+    if key == "m" and value < 1:
+        raise ParseError(f"m must be a positive integer, got {val!r}")
+    return value
 
 
 def _builtin(kind: str, name, what: str):

@@ -24,9 +24,10 @@ Products and compositions run on one integer engine.  Each operand is put
 once, and cached, over the lcm D of its coefficient denominators, with
 monomials packed into single integers (base N + 1) so that adding keys adds
 exponents.  One multiply-accumulate loop, ``_accumulate``, sums
-Gaussian-integer numerator products per output monomial without reducing
-them.  A product reduces each nonzero sum once, over Dl * Dr: one gcd per
-output coefficient instead of two per term pair.
+Gaussian-integer numerator products per output monomial, unreduced, into a
+table keyed by packed monomial; ``_put`` adds one sum to such a table.
+``_SparseSeries._of`` reduces each nonzero sum once: a product costs one
+gcd per output coefficient, over Dl * Dr, instead of two per term pair.
 
 A composition is evaluated at a ``_Point``, which holds the power tables of
 its replacements as integer forms and can be shared.  Each group of terms is
@@ -84,27 +85,19 @@ def _accumulate(acc: dict, lrows, rrows, n: int) -> None:
                 s[1] += r1 * i2 + i1 * r2
 
 
-def _reduced(acc: dict, D: int) -> list:
-    """(packed key, coefficient) for each nonzero sum of acc, reduced once over D."""
-    raw = GaussianRational._raw
-    return [(key, raw(sr, si, D)) for key, (sr, si, _) in acc.items() if sr or si]
+def _put(acc: dict, key: int, sr: int, si: int, d: int) -> None:
+    """Add sr + i si at key, of degree d, to the unreduced sums of acc."""
+    s = acc.get(key)
+    if s is None:
+        acc[key] = [sr, si, d]
+    else:
+        s[0] += sr
+        s[1] += si
 
 
 def _rows(acc: dict) -> list:
     """The nonzero unreduced sums of acc as kernel rows, in no particular order."""
     return [(d, key, sr, si) for key, (sr, si, d) in acc.items() if sr or si]
-
-
-def _mul_kernel(left: tuple, right: tuple, n: int) -> list:
-    """Product of two integer forms truncated at total degree n.
-
-    Returns (packed key, coefficient) for every nonzero output monomial.  The
-    Gaussian-integer products are summed per key, and each sum is reduced
-    once over Dl * Dr.
-    """
-    acc: dict = {}
-    _accumulate(acc, left[1], right[1], n)
-    return _reduced(acc, left[0] * right[0])
 
 
 class _SparseSeries:
@@ -148,6 +141,13 @@ class _SparseSeries:
         object.__setattr__(out, "terms", terms)
         object.__setattr__(out, "_form", None)
         return out
+
+    @classmethod
+    def _of(cls, n: int, acc: dict, D: int):
+        """The series of the unreduced sums of acc over D, each nonzero one reduced once."""
+        raw = GaussianRational._raw
+        return cls._make(n, cls._unpack([(key, raw(sr, si, D)) for key, (sr, si, _) in acc.items()
+                                         if sr or si], n + 1))
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -248,12 +248,12 @@ class _SparseSeries:
     def __mul__(self, other):
         """Scalar multiple, or the product truncated at total degree N.
 
-        A series product runs ``_mul_kernel`` on the cached integer forms of
+        A series product runs ``_accumulate`` on the cached integer forms of
         both operands: numerators over one common denominator per series and
         monomials packed in base B = N + 1.  Exponents of a kept product add
-        without carry, because each is at most N.  Each output coefficient is
-        reduced once, and is the same reduced GaussianRational that summing
-        the term products one by one would give.
+        without carry, because each is at most N.  ``_of`` reduces each
+        output coefficient once, over Dl * Dr, to the same reduced
+        GaussianRational that summing the term products one by one would give.
         """
         if isinstance(other, _SCALARS):
             c = as_gaussian(other)
@@ -262,9 +262,10 @@ class _SparseSeries:
             return self._make(self.n, {k: v * c for k, v in self.terms.items()})
         other = self._coerce(other)
         self._check_order(other)
-        n = self.n
-        pairs = _mul_kernel(self._integer_form(), other._integer_form(), n)
-        return self._make(n, self._unpack(pairs, n + 1))
+        (Dl, lrows), (Dr, rrows) = self._integer_form(), other._integer_form()
+        acc: dict = {}
+        _accumulate(acc, lrows, rrows, self.n)
+        return self._of(self.n, acc, Dl * Dr)
 
     __rmul__ = __mul__
 
@@ -343,20 +344,14 @@ def hermitian_conjugate(s: Series3) -> Series3:
     return Series3._make(s.n, {(b, a, c): v.conjugate() for (a, b, c), v in s.terms.items()})
 
 
-def _conjugates(x: Series3, y: Series3) -> bool:
-    """Whether y == hermitian_conjugate(x), decided without building the conjugate."""
-    if x.n != y.n or len(x.terms) != len(y.terms):
-        return False
-    yt = y.terms
-    for (a, b, c), v in x.terms.items():
-        w = yt.get((b, a, c))
+def is_hermitian(s: Series3) -> bool:
+    """Whether s == hermitian_conjugate(s), decided without building the conjugate."""
+    terms = s.terms
+    for (a, b, c), v in terms.items():
+        w = terms.get((b, a, c))
         if w is None or w.nre != v.nre or w.nim != -v.nim or w.den != v.den:
             return False
     return True
-
-
-def is_hermitian(s: Series3) -> bool:
-    return _conjugates(s, s)
 
 
 def split_real_imag(s: Series3) -> tuple[Series3, Series3]:
@@ -452,8 +447,7 @@ class _Point:
         ``_compose_acc``.
         """
         D, acc = self._compose_acc(s)
-        n, kind = self.n, self.kind
-        return kind._make(n, kind._unpack(_reduced(acc, D), n + 1))
+        return self.kind._of(self.n, acc, D)
 
     def _compose_acc(self, s: _SparseSeries) -> tuple:
         """(D, acc): s at this point as unreduced sums over one denominator D.
@@ -502,13 +496,8 @@ class _Point:
                 rows = _rows(acc)
             _accumulate(half if lower else out, rows, heads[-1][1] if heads else _ONE_FORM[1], n)
         for key, (sr, si, d) in half.items():
-            for k, im in ((key, si), (_swap(key, n + 1), -si)):
-                t = out.get(k)
-                if t is None:
-                    out[k] = [sr, im, d]
-                else:
-                    t[0] += sr
-                    t[1] += im
+            _put(out, key, sr, si, d)
+            _put(out, _swap(key, n + 1), sr, -si, d)
         return D, out
 
     def solve(self, rhs) -> _SparseSeries:
@@ -537,9 +526,7 @@ class _Point:
         if len(self.tables) != len(kind.VARS):
             raise ValueError(f"solve needs one replacement per variable of {kind.__name__}")
         xs = tuple(kind.var(x, n) for x in kind.VARS)
-        raw = GaussianRational._raw
-        lin = [kind._make(n, kind._unpack([(key, raw(sr, si, D)) for e, key, sr, si in rows
-                                           if e == 1], n + 1))
+        lin = [kind._of(n, {key: (sr, si, e) for e, key, sr, si in rows if e == 1}, D)
                for D, rows in (table[1] for table in self.tables)]
         # 2x - l, summed key by key in the constructor
         inv = tuple(kind(n, [(key, 2) for key in x.terms]
@@ -554,10 +541,10 @@ class _Point:
         D, rows = rhs if isinstance(rhs, tuple) else rhs._integer_form()
         rest = [{} for _ in range(n + 1)]
         for e, key, sr, si in rows:
-            rest[e][key] = [sr, si, e]
+            _put(rest[e], key, sr, si, e)
         out: dict = {}
         for d in range(min((e for e, *_ in rows), default=n + 1), n + 1):
-            piece = kind._make(n, kind._unpack(_reduced(rest[d], D), n + 1))
+            piece = kind._of(n, rest[d], D)
             if back is not None:
                 piece = back.compose(piece)
             out.update(piece.terms)
@@ -576,13 +563,7 @@ class _Point:
             m = L // Dc
             for key, (cr, ci, e) in acc.items():
                 if e > d:
-                    table = rest[e]
-                    s = table.get(key)
-                    if s is None:
-                        table[key] = [-cr * m, -ci * m, e]
-                    else:
-                        s[0] -= cr * m
-                        s[1] -= ci * m
+                    _put(rest[e], key, -cr * m, -ci * m, e)
         return kind._make(n, out)
 
 

@@ -30,7 +30,7 @@ from .series import (
     _conjugate_rows,
     _form,
     _Point,
-    _reduced,
+    _put,
     _swap,
     hermitian_conjugate,
     is_hermitian,
@@ -129,16 +129,24 @@ def _is_rational_square(x: Fraction) -> Fraction | None:
     return None
 
 
+def _conditions(phi: Series3) -> list:
+    """(row, key) for each term of phi that ``condition_row`` governs, in key order."""
+    return [(row, key) for key in sorted(phi.terms) if (row := condition_row(*key)) is not None]
+
+
 def validate_class(M: GraphSurface) -> ClassReport:
     """Check the structural class conditions to order N; never raises.
 
-    When phi11 is the square of a nonzero rational r, the report carries the
+    in_class requires phi11 to be a positive rational square and no "u-free"
+    or "row 0" term (see ``condition_row``) at any u-level, not only at
+    c = 1.  So a normal form with row-0 residue above the normalized order
+    is not in the class, although ``normalize`` accepts it as input.  When
+    phi11 is the square of a nonzero rational r, the report carries the
     rescaled surface with phi11 = 1, the image under (z, w) -> (r z, w).
     """
     phi = M.phi
     tags = {"u-free": "infinite_type", "row 0": "normal_coordinates"}
-    diagnostics = [(tags[row], key) for key in sorted(phi.terms)
-                   if (row := condition_row(*key)) in tags]
+    diagnostics = [(tags[row], key) for row, key in _conditions(phi) if row in tags]
     found = {tag for tag, _ in diagnostics}
     inf_type, normal = "infinite_type" not in found, "normal_coordinates" not in found
     phi11 = phi.coeff(1, 1, 1)
@@ -167,14 +175,9 @@ def validate_class(M: GraphSurface) -> ClassReport:
     )
 
 
-def _level1_offenders(phi: Series3) -> list:
-    """The u-linear terms phi_{l1} and phi_{1l}, l >= 2, in sorted order."""
-    return sorted(key for key in phi.terms if key[2] == 1 and condition_row(*key) == "row 1")
-
-
 def is_prenormalized_level1(M: GraphSurface) -> bool:
     """phi_{l1} = 0 for l >= 2 (and conjugates), to order N."""
-    return not _level1_offenders(M.phi)
+    return not any(row == "row 1" and key[2] == 1 for row, key in _conditions(M.phi))
 
 
 def check_u_linear_class(M: GraphSurface, what: str, prenormalized: bool = True):
@@ -187,8 +190,8 @@ def check_u_linear_class(M: GraphSurface, what: str, prenormalized: bool = True)
     names the lowest offending monomial, whatever the order of phi's terms.
     """
     phi = M.phi
-    for key in sorted(phi.terms):
-        row = condition_row(*key)
+    conditions = _conditions(phi)
+    for row, key in conditions:
         if row == "u-free":
             raise ValueError(f"{what} requires an infinite-type surface "
                              f"(found u-free monomial {key})")
@@ -197,7 +200,8 @@ def check_u_linear_class(M: GraphSurface, what: str, prenormalized: bool = True)
                              f"level (found {key})")
     if phi.coeff(1, 1, 1) != ONE:
         raise ValueError(f"{what} requires phi11 = 1; use validate_class().rescaled first")
-    if prenormalized and (offenders := _level1_offenders(phi)):
+    offenders = [key for row, key in conditions if row == "row 1" and key[2] == 1]
+    if prenormalized and offenders:
         raise ValueError(f"{what} requires phi_{{l1}} = 0 for l >= 2: surface not "
                          f"prenormalized (found {offenders[0]})")
 
@@ -239,14 +243,9 @@ def check_normal_form(M: GraphSurface) -> NormalFormReport:
     """
     if M.phi.coeff(1, 1, 1) != ONE:
         raise ValueError("normal-form check requires phi11 = 1")
-    zero_rows = []
-    flat = []
-    for key in sorted(M.phi.terms):
-        row = condition_row(*key)
-        if row == "flat":
-            flat.append(key)
-        elif row is not None:
-            zero_rows.append(key)
+    conditions = _conditions(M.phi)
+    zero_rows = [key for row, key in conditions if row != "flat"]
+    flat = [key for row, key in conditions if row == "flat"]
     return NormalFormReport(
         ok=not zero_rows and not flat,
         violations_zero_rows=zero_rows,
@@ -277,16 +276,6 @@ def _rho_gradient(phi: Series3) -> tuple:
     """(rho_z, rho_w) = (-phi_z, 1/(2i) - phi_u/2), rho = (w - wb)/2i - phi(z, zb, Re w)."""
     half = GaussianRational(Fraction(1, 2))
     return -phi.diff("z"), Series3(phi.n, {(0, 0, 0): half / I}) - phi.diff("u") * half
-
-
-def _put(acc: dict, key: int, sr: int, si: int, d: int) -> None:
-    """Add sr + i si at key to the unreduced sums of acc."""
-    s = acc.get(key)
-    if s is None:
-        acc[key] = [sr, si, d]
-    else:
-        s[0] += sr
-        s[1] += si
 
 
 def _image_point(M: GraphSurface, m: FormalMap) -> tuple:
@@ -370,7 +359,7 @@ def map_defect(M: GraphSurface, m: FormalMap, Mtarget: GraphSurface) -> Series3:
     q = L // Dv
     for d, key, sr, si in rows:
         _put(acc, key, sr * q, si * q, d)
-    return Series3._make(n, Series3._unpack(_reduced(acc, L), n + 1))
+    return Series3._of(n, acc, L)
 
 
 def infinitesimal_defect(M: GraphSurface, X_z: HoloSeries2, X_w: HoloSeries2) -> Series3:

@@ -63,13 +63,13 @@ class TestExpressionParser:
     def test_power_by_repeated_squaring(self, monkeypatch):
         # z^65536 takes 16 squarings, where e successive products took 65536
         calls = []
-        kernel = nfc.series._mul_kernel
+        accumulate = nfc.series._accumulate
 
         def counted(*args):
             calls.append(1)
-            return kernel(*args)
+            return accumulate(*args)
 
-        monkeypatch.setattr(nfc.series, "_mul_kernel", counted)
+        monkeypatch.setattr(nfc.series, "_accumulate", counted)
         assert parse_expression("z^65536") == {(65536, 0, 0): ONE}
         assert len(calls) <= 34, len(calls)
 
@@ -421,6 +421,20 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert err == (f"nfc: parse error: flag {flag} is read by no chosen family, "
                        "built-in map or field\n")
+
+    @pytest.mark.parametrize("argv, m", [
+        (["charpoly", "--family", "mm", "--m", "0"], 0),
+        (["verify-field", "--family", "quadric", "--m", "0"], 0),
+        (["transform", "--family", "quadric", "--map", "ht", "--m", "0"], 0),
+        (["charpoly", "--surface", "spec.json"], -2),
+    ])
+    def test_m_below_1_exit_2(self, capsys, tmp_path, monkeypatch, argv, m):
+        # bad input, not a domain error: the parser rejects m before any family is built
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(json.dumps({"family": {"name": "mm", "m": -2}}))
+        code, out, err = run_cli(capsys, *argv, "--order-total", "9")
+        assert (code, out) == (2, "")
+        assert err == f"nfc: parse error: m must be a positive integer, got {m}\n"
 
     def test_target_is_a_verify_map_flag_only(self, capsys, tmp_path):
         target = tmp_path / "target.json"

